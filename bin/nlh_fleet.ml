@@ -1,10 +1,11 @@
 (* Fleet tail-latency explorer: host hundreds of tenant VMs, inject a
-   recovery event under them, and report per-mechanism request latency
-   quantiles through the event (p50/p99/p999), SLO violations and
-   netstack loss -- the end-user view of hypervisor recovery.
+   recovery event under them, and report request latency quantiles
+   through the event (p50/p99/p999), SLO violations and netstack loss
+   for the serial microreset with the full and with the dirty-list
+   consistency scan -- the end-user view of hypervisor recovery.
 
      dune exec bin/nlh_fleet.exe -- --tenants 200 --trials 4 --jobs 4
-     dune exec bin/nlh_fleet.exe -- --mech sharded --out fleet.json *)
+     dune exec bin/nlh_fleet.exe -- --mech serial-incremental --out fleet.json *)
 
 let () =
   let tenants = ref Fleet.default_config.Fleet.tenants in
@@ -21,7 +22,7 @@ let () =
     | None ->
       prerr_endline
         ("unknown mechanism " ^ s
-       ^ " (expected serial-full | serial-incremental | sharded)");
+       ^ " (expected serial-full | serial-incremental)");
       exit 2
   in
   let spec =
@@ -33,7 +34,7 @@ let () =
       ("--seed", Arg.Set_int seed, "N base seed (42000)");
       ( "--mech",
         Arg.String add_mech,
-        "M serial-full|serial-incremental|sharded (default: all three)" );
+        "M serial-full|serial-incremental (default: both)" );
       ("--out", Arg.Set_string out, "FILE write nlh-fleet/1 JSON");
       ( "--selfcheck",
         Arg.Set selfcheck,

@@ -15,7 +15,8 @@
      satisfy the per-kind accounting identities.
    - "nlh-fleet/1" fleet reports: known mechanisms appearing once each,
      request counts matching histogram samples, ordered latency
-     quantiles, and per-trial scan-path accounting.
+     quantiles, per-trial scan-path accounting, and a longest silence
+     gap that is the recovery stall plus at most two request intervals.
 
    Accepts any number of files; used by the @check alias as the
    export smoke test. *)
@@ -459,13 +460,18 @@ let check_fuzz path root =
    recovery event. Invariants: every mechanism name is known and appears
    once; request counts equal the histogram sample counts; stalled and
    SLO-violating requests cannot exceed the total; quantiles are
-   ordered; mean recovery latency cannot exceed the max; and each trial
-   took exactly one consistency-scan path (incremental + full = trials). *)
+   ordered; mean recovery latency cannot exceed the max; each trial
+   took exactly one consistency-scan path (incremental + full = trials);
+   and, since every mechanism stops the world, the longest silence a
+   tenant's sender saw is at least the longest stall and at most that
+   stall plus one request interval on each side of it. *)
 let check_fleet path root =
   let trials = num path "document" "trials" root in
   if trials < 1.0 then die "%s: trials %g < 1" path trials;
   if num path "document" "tenants" root < 1.0 then die "%s: tenants < 1" path;
   if num path "document" "slo_ns" root <= 0.0 then die "%s: slo_ns <= 0" path;
+  let interval = num path "document" "request_interval_ns" root in
+  if interval <= 0.0 then die "%s: request_interval_ns <= 0" path;
   let mechs =
     list_of path "mechanisms" (get path "document" "mechanisms" root)
   in
@@ -477,7 +483,7 @@ let check_fleet path root =
       let name = str path what "mechanism" m in
       if
         not
-          (List.mem name [ "serial-full"; "serial-incremental"; "sharded" ])
+          (List.mem name [ "serial-full"; "serial-incremental" ])
       then die "%s: %s: unknown mechanism %S" path what name;
       if List.mem name !seen then
         die "%s: %s: duplicate mechanism %S" path what name;
@@ -507,7 +513,11 @@ let check_fleet path root =
         die "%s: %s: non-positive recovery latency" path what;
       if f "scan_incremental" +. f "scan_full" <> trials then
         die "%s: %s: scan_incremental %g + scan_full %g <> trials %g" path
-          what (f "scan_incremental") (f "scan_full") trials)
+          what (f "scan_incremental") (f "scan_full") trials;
+      let rec_max = f "recovery_ns_max" and gap = f "max_gap_ns" in
+      if not (rec_max <= gap && gap <= rec_max +. (2.0 *. interval)) then
+        die "%s: %s: max_gap_ns %g outside [%g, %g] (recovery max + 2 x %g)"
+          path what gap rec_max (rec_max +. (2.0 *. interval)) interval)
     mechs;
   Printf.printf "%s: OK nlh-fleet/1 (%d mechanisms, %g trials each)\n" path
     (List.length mechs) trials

@@ -8,7 +8,7 @@
     module boots a hypervisor hosting [tenants] small single-vCPU guests
     ({!Hyper.Hypervisor.Tenant_fleet}), drives a mixed warmup through the
     real workload samplers, damages a few victim tenants' page-frame
-    state at a golden quiesce point, recovers with one of three
+    state at a golden quiesce point, recovers with one of two
     mechanisms, and accounts per-tenant request latency through the
     event:
 
@@ -17,9 +17,6 @@
       O(machine) recovery (~22 ms at reference geometry).
     - [Serial_incremental]: the same serial microreset driven off the
       dirty lists -- every tenant stalls, but only O(damaged state).
-    - [Sharded]: {!Recovery.Shard} -- a short global quiesce, then
-      per-domain shards on the simulated CPUs; a tenant resumes as soon
-      as the global phase and its own shard are done.
 
     Requests arrive on a per-tenant cadence across a fixed window around
     the fault. A request arriving while its tenant is stalled completes
@@ -37,20 +34,18 @@
 
 open Hyper
 
-type mechanism = Serial_full | Serial_incremental | Sharded
+type mechanism = Serial_full | Serial_incremental
 
 let mechanism_name = function
   | Serial_full -> "serial-full"
   | Serial_incremental -> "serial-incremental"
-  | Sharded -> "sharded"
 
 let mechanism_of_string = function
   | "serial-full" -> Some Serial_full
   | "serial-incremental" -> Some Serial_incremental
-  | "sharded" -> Some Sharded
   | _ -> None
 
-let all_mechanisms = [ Serial_full; Serial_incremental; Sharded ]
+let all_mechanisms = [ Serial_full; Serial_incremental ]
 
 type config = {
   tenants : int; (* tenant VMs sharing the host *)
@@ -83,11 +78,11 @@ let default_config =
    8 CPUs) while the mechanics run on the scaled-down campaign tables:
    the latencies reported here are the 8 GB host's, not the simulator's.
    The serial full-scan baseline uses the stock NiLiHype config; the
-   other two mechanisms enable the dirty-list consistency scan. *)
+   incremental mechanism enables the dirty-list consistency scan. *)
 let hv_config = function
   | Serial_full ->
     { Config.nilihype with Config.geometry = Some Config.reference_geometry }
-  | Serial_incremental | Sharded ->
+  | Serial_incremental ->
     {
       Config.nilihype_incremental with
       Config.geometry = Some Config.reference_geometry;
@@ -168,39 +163,28 @@ let run_trial (cfg : config) mech ~seed : Obs.Metrics.snapshot =
         incr i
       done)
     victim_ids;
-  (* Recover. Serial mechanisms stall every tenant for the whole
-     latency; sharded recovery gives each domain its own resume offset. *)
+  (* Recover. The microreset stops the world: every tenant stalls for
+     the whole latency. *)
   let fault_time = Sim.Clock.now clock in
-  let enh = Recovery.Enhancement.full_set in
-  let latency, offsets =
-    match mech with
-    | Serial_full | Serial_incremental ->
-      let out =
-        Recovery.Engine.recover Recovery.Engine.Nilihype hv ~enh ~detected_on:0
-      in
-      (out.Recovery.Engine.latency, None)
-    | Sharded ->
-      let r = Recovery.Shard.recover hv ~enh ~detected_on:0 in
-      (r.Recovery.Shard.latency, Some r.Recovery.Shard.resume_offsets)
+  let latency =
+    (Recovery.Engine.recover Recovery.Engine.Nilihype hv
+       ~enh:Recovery.Enhancement.full_set ~detected_on:0)
+      .Recovery.Engine.latency
   in
   Obs.Metrics.observe rec_h latency;
   if latency > rec_max.Obs.Metrics.value then Obs.Metrics.set rec_max latency;
-  let stall_of domid =
-    match offsets with
-    | None -> latency
-    | Some l -> (
-      match List.assoc_opt domid l with Some o -> o | None -> latency)
-  in
+  let window_start = fault_time - cfg.pre_window in
+  let stall_end = fault_time + latency in
   (* Request accounting through the event, per tenant. The netstack
      models the same window as the paper's UDP ping sender: ticks while
-     the tenant serves, one interruption for its stall. *)
-  for t = 0 to cfg.tenants - 1 do
-    let domid = t + 1 in
-    let stall = stall_of domid in
-    let stall_end = fault_time + stall in
+     the tenant serves, one interruption for its stall. Its silence
+     clock starts at the window start, so the first gap is measured
+     from there and not from boot. *)
+  for _ = 1 to cfg.tenants do
     let net = Guest.Netstack.create ~interval:cfg.request_interval () in
+    net.Guest.Netstack.last_echo_at <- window_start;
     let phase = Sim.Rng.int rng (max 1 cfg.request_interval) in
-    let arrival = ref (fault_time - cfg.pre_window + phase) in
+    let arrival = ref (window_start + phase) in
     while !arrival <= fault_time + cfg.post_window do
       let a = !arrival in
       let service = Sim.Time.us (30 + Sim.Rng.int rng 200) in
@@ -219,7 +203,7 @@ let run_trial (cfg : config) mech ~seed : Obs.Metrics.snapshot =
       if lat > cfg.slo then Obs.Metrics.incr violations_c;
       arrival := a + cfg.request_interval
     done;
-    Guest.Netstack.interruption net ~now:fault_time ~duration:stall;
+    Guest.Netstack.interruption net ~now:fault_time ~duration:latency;
     if Guest.Netstack.failed net then Obs.Metrics.incr failed_c;
     Obs.Metrics.incr ~by:(net.Guest.Netstack.sent - net.Guest.Netstack.echoed)
       lost_c;

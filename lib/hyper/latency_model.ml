@@ -61,21 +61,6 @@ let microreset_enhancements_dirty ~heap_dirty ~timer_dirty =
   Time.us 90 + heap_audit_dirty ~dirty:heap_dirty
   + timer_audit_dirty ~dirty:timer_dirty
 
-(* --- Sharded recovery (per-component/per-domain shards) ------------ *)
-
-(* The stop-the-world window every domain pays: interrupt the CPUs,
-   discard execution threads and repair the global singletons (static
-   locks, scheduler metadata, IRQ counts, recurring timers). Shorter
-   than the serial enhancement pass because the per-domain work
-   (hypercall/syscall retry set-up, FS/GS restoration, grant/evtchn
-   audit) moves into that domain's own shard. *)
-let shard_global_quiesce ~cpus = microreset_interrupt_cpus ~cpus + Time.us 220
-
-(* Per-domain shard: retry/FS-GS/grant bookkeeping for one domain, plus
-   its share of the consistency scan (charged separately, by dirty count
-   or owned-frame count). *)
-let shard_domain_base = Time.us 12
-
 (* --- ReHype (Table II) --------------------------------------------- *)
 
 let reboot_early_boot_cpu = Time.ms 12

@@ -137,7 +137,6 @@ let restore t =
   t.tracking_ok <- true
 
 let dirty_count t = List.length t.tracker.dirty_list
-let dirty_descs t = t.tracker.dirty_list
 let tracking_usable t = t.tracking_ok
 let invalidate_tracking t = t.tracking_ok <- false
 
@@ -227,8 +226,8 @@ let consistent d =
 (* Detect validation-bit / use-counter disagreement on one descriptor
    and repair it. The repair is a pure function of the descriptor's own
    fields, so the scans below may visit descriptors in any order (full
-   array sweep, dirty-list walk, per-domain shard) and converge on the
-   same table. Returns whether a repair was made. *)
+   array sweep or dirty-list walk) and converge on the same table.
+   Returns whether a repair was made. *)
 let fix_desc d =
   if consistent d then false
   else begin

@@ -32,22 +32,6 @@ let timed log name cost f =
     (Obs.Event.Recovery_step { mechanism = log.mechanism; step = name });
   r
 
-(* Like [timed], but for work running concurrently with other recovery
-   work (sharded recovery): the step starts at an explicit simulated
-   time and the clock is NOT advanced -- the caller advances it once by
-   the makespan after all concurrent shards are accounted. Span and
-   breakdown bookkeeping are identical to [timed], so summing span
-   durations per phase still reproduces [Latency_model.breakdown]. *)
-let timed_at log name ~start cost f =
-  let r = f () in
-  log.steps <- (name, cost) :: log.steps;
-  Obs.Recorder.span log.obs ~name
-    ~cat:("recovery:" ^ log.mechanism)
-    ~track:log.track ~start ~duration:cost;
-  Obs.Recorder.event log.obs ~time:start ~cpu:log.track Obs.Event.Info
-    (Obs.Event.Recovery_step { mechanism = log.mechanism; step = name });
-  r
-
 (* Debug-level note that a specific state-consistency enhancement ran. *)
 let note_enhancement (hv : Hypervisor.t) ~mechanism ~cpu e =
   Obs.Recorder.event hv.Hypervisor.obs
@@ -83,7 +67,7 @@ let check_recovery_handler (hv : Hypervisor.t) =
    to be retried when VM execution resumes. Without the retry
    mechanisms the interaction is simply lost and the issuing guest
    blocks forever. *)
-let setup_retries_vcpus ~(enh : Enhancement.set) vcpus =
+let setup_retries (hv : Hypervisor.t) ~(enh : Enhancement.set) =
   let hypercall_retry = Enhancement.mem enh Enhancement.Hypercall_retry in
   let syscall_retry = Enhancement.mem enh Enhancement.Syscall_retry in
   List.iter
@@ -98,16 +82,13 @@ let setup_retries_vcpus ~(enh : Enhancement.set) vcpus =
         if syscall_retry then v.Domain.syscall_retry_pending <- true
         else v.Domain.lost_work <- true
       end)
-    vcpus
-
-let setup_retries (hv : Hypervisor.t) ~(enh : Enhancement.set) =
-  setup_retries_vcpus ~enh (Hypervisor.all_vcpus hv)
+    (Hypervisor.all_vcpus hv)
 
 (* Restore guest FS/GS for vCPUs that were inside the hypervisor when
    the error was detected. Only possible if the entry path saved them
    (the Save-FS/GS port fix, [Config.save_fs_gs]); otherwise the guest
    resumes with clobbered segment bases and its processes fail. *)
-let restore_fs_gs_vcpus (hv : Hypervisor.t) ~(enh : Enhancement.set) vcpus =
+let restore_fs_gs (hv : Hypervisor.t) ~(enh : Enhancement.set) =
   let can_restore =
     Enhancement.mem enh Enhancement.Restore_fs_gs
     && hv.Hypervisor.config.Config.save_fs_gs
@@ -119,10 +100,7 @@ let restore_fs_gs_vcpus (hv : Hypervisor.t) ~(enh : Enhancement.set) vcpus =
         || v.Domain.retry_pending || v.Domain.syscall_retry_pending
       in
       if was_in_hypervisor && not can_restore then v.Domain.fsgs_valid <- false)
-    vcpus
-
-let restore_fs_gs (hv : Hypervisor.t) ~(enh : Enhancement.set) =
-  restore_fs_gs_vcpus hv ~enh (Hypervisor.all_vcpus hv)
+    (Hypervisor.all_vcpus hv)
 
 (* Acknowledge all pending and in-service interrupts so stale interrupt
    state cannot block future delivery (shared ReHype mechanism). *)

@@ -1,4 +1,4 @@
-(** Virtual clock driven by the event engine. *)
+(** Virtual clock of the simulated machine. *)
 
 type t = { mutable now : Time.ns }
 

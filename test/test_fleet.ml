@@ -1,9 +1,8 @@
-(* Tests for incremental microreset, sharded recovery, and the tenant
-   fleet scenario: fresh-vs-incremental equivalence across the whole
-   corruption catalogue, sharded-vs-serial state equality and
-   determinism, jobs-invariant fleet aggregates, the scan-path coverage
-   and fuzz axes, and dirty-tracked heap/timer restore with zero-leak
-   ledger audits. *)
+(* Tests for incremental microreset and the tenant fleet scenario:
+   fresh-vs-incremental equivalence across the whole corruption
+   catalogue, jobs-invariant fleet aggregates, the fleet latency gates
+   and silence-gap bound, the scan-path coverage and fuzz axes, and
+   dirty-tracked heap/timer restore with zero-leak ledger audits. *)
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -41,7 +40,7 @@ let full = Recovery.Enhancement.full_set
    (size, order integrity, queued/active/recurring population): raw
    deadlines depend on the simulated time recovery finished at, which
    legitimately differs between a 22 ms full scan and a sub-ms
-   incremental or sharded one. *)
+   incremental one. *)
 let state_digest (hv : Hyper.Hypervisor.t) =
   let b = Buffer.create 4096 in
   let pr fmt = Printf.ksprintf (Buffer.add_string b) fmt in
@@ -188,70 +187,6 @@ let test_fallback_after_died () =
     | _ -> Alcotest.fail "post-died recovery must fall back to the full scan")
   | Error e -> Alcotest.failf "second recovery died: %s" e
 
-(* ------------------------- sharded recovery -------------------------- *)
-
-(* Sharded recovery must converge to the serial microreset's machine
-   state: the per-descriptor repair is order-independent, so per-domain
-   shards and one serial sweep are different schedules of the same
-   repair. *)
-let test_sharded_equals_serial () =
-  List.iter
-    (fun target ->
-      let name = Inject.Corrupt.name target in
-      let seed = 9_900L in
-      let config = Hyper.Config.nilihype_incremental in
-      let a = damaged_machine ~config ~seed target in
-      let bm = damaged_machine ~config ~seed target in
-      let serial = recover_outcome a in
-      let sharded =
-        match Recovery.Shard.recover bm ~enh:full ~detected_on:0 with
-        | r -> Ok r.Recovery.Shard.latency
-        | exception Hyper.Crash.Hypervisor_crash c ->
-          Error (Hyper.Crash.describe c)
-      in
-      match (serial, sharded) with
-      | Ok _, Ok _ ->
-        checks (name ^ ": sharded state = serial state") (state_digest a)
-          (state_digest bm)
-      | Error ea, Error eb -> checks (name ^ ": same death") ea eb
-      | Ok _, Error e -> Alcotest.failf "%s: sharded died (%s)" name e
-      | Error e, Ok _ -> Alcotest.failf "%s: serial died (%s)" name e)
-    [
-      Inject.Corrupt.Pfn_validated_flip; Inject.Corrupt.Pfn_use_count_skew;
-      Inject.Corrupt.Pfn_type_scramble; Inject.Corrupt.Sched_metadata;
-      Inject.Corrupt.Guest_frame; Inject.Corrupt.Pfn_tracker;
-    ]
-
-(* Two identical sharded recoveries must produce identical results --
-   lane assignment, spans and resume offsets included -- and every
-   domain must get a resume offset no later than the total latency. *)
-let test_sharded_deterministic () =
-  let mk () =
-    let hv =
-      damaged_machine ~config:Hyper.Config.nilihype_incremental ~seed:4_400L
-        Inject.Corrupt.Pfn_use_count_skew
-    in
-    Recovery.Shard.recover hv ~enh:full ~detected_on:0
-  in
-  let r1 = mk () and r2 = mk () in
-  checkb "identical sharded results" true (r1 = r2);
-  let domains = List.map fst r1.Recovery.Shard.resume_offsets in
-  (* Three_appvm at this point: PrivVM 0, two AppVMs, the idle domain. *)
-  checkb "every domain has a resume offset" true
-    (List.for_all (fun d -> List.mem d domains) [ 0; 1; 2; 1000 ]);
-  List.iter
-    (fun (domid, off) ->
-      checkb (Printf.sprintf "domain %d resumes within the recovery" domid)
-        true
-        (off > 0 && off <= r1.Recovery.Shard.latency))
-    r1.Recovery.Shard.resume_offsets;
-  (* The whole point of sharding: some unaffected domain resumes before
-     the end-to-end latency. *)
-  checkb "some domain resumes early" true
-    (List.exists
-       (fun (_, off) -> off < r1.Recovery.Shard.latency)
-       r1.Recovery.Shard.resume_offsets)
-
 (* --------------------------- fleet scenario -------------------------- *)
 
 let small_fleet =
@@ -274,14 +209,13 @@ let test_fleet_jobs_invariant () =
         (a.Fleet.metrics = b.Fleet.metrics))
     Fleet.all_mechanisms
 
-(* The two tail-latency claims, at test scale: the incremental
-   microreset recovers in at most 15% of the full scan's latency at
-   reference geometry, and sharded recovery's request p99 through the
-   event is strictly below serial (full-scan) recovery's. *)
+(* The tail-latency claims, at test scale: the incremental microreset
+   recovers in at most 15% of the full scan's latency at reference
+   geometry, its request p99 through the event is strictly below the
+   full scan's, and it keeps every request inside the SLO. *)
 let test_fleet_gates () =
   let full_r = Fleet.run small_fleet Fleet.Serial_full in
   let incr_r = Fleet.run small_fleet Fleet.Serial_incremental in
-  let shard_r = Fleet.run small_fleet Fleet.Sharded in
   List.iter
     (fun r ->
       checki
@@ -291,7 +225,7 @@ let test_fleet_gates () =
         (Fleet.mechanism_name r.Fleet.mech ^ ": one recovery per trial")
         small_fleet.Fleet.trials
         (Fleet.scan_incremental r + Fleet.scan_full r))
-    [ full_r; incr_r; shard_r ];
+    [ full_r; incr_r ];
   checki "serial-full takes the full scan every trial" small_fleet.Fleet.trials
     (Fleet.scan_full full_r);
   checki "serial-incremental takes the dirty path every trial"
@@ -304,14 +238,31 @@ let test_fleet_gates () =
     true
     (im * 100 <= fm * 15);
   let p99f = Fleet.request_quantile full_r 0.99 in
-  let p99s = Fleet.request_quantile shard_r 0.99 in
+  let p99i = Fleet.request_quantile incr_r 0.99 in
   checkb
-    (Printf.sprintf "sharded p99 %d < serial-full p99 %d" p99s p99f)
-    true (p99s < p99f);
+    (Printf.sprintf "serial-incremental p99 %d < serial-full p99 %d" p99i p99f)
+    true (p99i < p99f);
   checkb "full-scan stall violates the SLO somewhere" true
     (Fleet.slo_violations full_r > 0);
-  checki "sharded recovery stays inside the SLO" 0
-    (Fleet.slo_violations shard_r)
+  checki "incremental recovery stays inside the SLO" 0
+    (Fleet.slo_violations incr_r)
+
+(* The longest silence a tenant's sender sees is its recovery stall,
+   stretched by at most one request interval on each side (the last
+   echo before the fault and the first after the resume). Warmup time
+   before the observation window is not silence. *)
+let test_fleet_max_gap_bound () =
+  let interval = small_fleet.Fleet.request_interval in
+  List.iter
+    (fun mech ->
+      let r = Fleet.run small_fleet mech in
+      let rec_max = Fleet.recovery_max_ns r and gap = Fleet.max_gap_ns r in
+      checkb
+        (Printf.sprintf "%s: recovery %d <= max gap %d <= recovery + 2 x %d"
+           (Fleet.mechanism_name mech) rec_max gap interval)
+        true
+        (rec_max <= gap && gap <= rec_max + (2 * interval)))
+    Fleet.all_mechanisms
 
 (* --------------------- coverage and fuzz axes ------------------------ *)
 
@@ -438,19 +389,14 @@ let () =
           Alcotest.test_case "full-scan fallback after died" `Quick
             test_fallback_after_died;
         ] );
-      ( "sharded",
-        [
-          Alcotest.test_case "sharded state equals serial" `Quick
-            test_sharded_equals_serial;
-          Alcotest.test_case "deterministic, early resume offsets" `Quick
-            test_sharded_deterministic;
-        ] );
       ( "fleet",
         [
           Alcotest.test_case "aggregates jobs-invariant" `Quick
             test_fleet_jobs_invariant;
           Alcotest.test_case "latency gates hold at test scale" `Quick
             test_fleet_gates;
+          Alcotest.test_case "max gap bounded by the recovery stall" `Quick
+            test_fleet_max_gap_bound;
         ] );
       ( "coverage",
         [
