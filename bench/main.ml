@@ -438,6 +438,18 @@ let tune_gc_for_campaigns () =
   if current.Gc.minor_heap_size < want then
     Gc.set { current with Gc.minor_heap_size = want }
 
+(* One series point of BENCH_campaign.json / BENCH_scaling.json: the
+   requested jobs, the worker domains that actually ran, and throughput. *)
+let series_point requested (r : Inject.Campaign.result) =
+  Obs.Json.
+    [
+      ("jobs", of_int requested);
+      ("domains_used", of_int r.Inject.Campaign.jobs);
+      ("runs", of_int r.Inject.Campaign.totals.Inject.Campaign.runs);
+      ("seconds", Number r.Inject.Campaign.wall_seconds);
+      ("runs_per_sec", Number (Inject.Campaign.runs_per_sec r));
+    ]
+
 let campaign_smoke () =
   hr "Campaign engine smoke benchmark (parallel vs sequential)";
   tune_gc_for_campaigns ();
@@ -475,47 +487,33 @@ let campaign_smoke () =
   Format.printf "speedup jobs=%d vs jobs=1: %.2fx (on %d core(s))@." par_jobs
     speedup
     (Domain.recommended_domain_count ());
-  let entry requested r =
-    Printf.sprintf
-      "    { \"jobs\": %d, \"domains_used\": %d, \"runs\": %d, \"seconds\": \
-       %.4f, \"runs_per_sec\": %.2f }"
-      requested r.Inject.Campaign.jobs
-      r.Inject.Campaign.totals.Inject.Campaign.runs
-      r.Inject.Campaign.wall_seconds
-      (Inject.Campaign.runs_per_sec r)
-  in
-  let oc = open_out !json_out in
-  Printf.fprintf oc
-    "{\n\
-    \  \"benchmark\": \"campaign_smoke\",\n\
-    \  \"runs\": %d,\n\
-    \  \"seconds\": %.4f,\n\
-    \  \"runs_per_sec\": %.2f,\n\
-    \  \"jobs\": %d,\n\
-    \  \"domains_used\": %d,\n\
-    \  \"cores\": %d,\n\
-    \  \"speedup_vs_jobs1\": %.2f,\n\
-    \  \"identical_totals\": true,\n\
-    \  \"series\": [\n%s,\n%s\n  ]\n\
-     }\n"
-    par.Inject.Campaign.totals.Inject.Campaign.runs
-    par.Inject.Campaign.wall_seconds
-    (Inject.Campaign.runs_per_sec par)
-    par_jobs
-    par.Inject.Campaign.jobs (* worker domains that actually ran *)
-    (Domain.recommended_domain_count ())
-    speedup (entry 1 seq) (entry par_jobs par);
-  close_out oc;
+  let entry requested r = Obs.Json.Obj (series_point requested r) in
+  Obs.Json.write_file !json_out
+    Obs.Json.(
+      Obj
+        [
+          ("benchmark", String "campaign_smoke");
+          ("runs", of_int par.Inject.Campaign.totals.Inject.Campaign.runs);
+          ("seconds", Number par.Inject.Campaign.wall_seconds);
+          ("runs_per_sec", Number (Inject.Campaign.runs_per_sec par));
+          ("jobs", of_int par_jobs);
+          (* worker domains that actually ran *)
+          ("domains_used", of_int par.Inject.Campaign.jobs);
+          ("cores", of_int (Domain.recommended_domain_count ()));
+          ("speedup_vs_jobs1", Number speedup);
+          ("identical_totals", Bool true);
+          ("series", List [ entry 1 seq; entry par_jobs par ]);
+        ]);
   Format.printf "wrote %s@." !json_out;
   (* Campaign-level metrics snapshot (same data for both jobs values --
      asserted identical above). *)
   Obs.Export.write_metrics_json
     ~meta:
-      [
-        ("benchmark", `String "campaign_smoke");
-        ("runs", `Int par.Inject.Campaign.totals.Inject.Campaign.runs);
-        ("jobs", `Int par.Inject.Campaign.jobs);
-        ("cores", `Int (Domain.recommended_domain_count ()));
+      Obs.Json.[
+        ("benchmark", String "campaign_smoke");
+        ("runs", of_int par.Inject.Campaign.totals.Inject.Campaign.runs);
+        ("jobs", of_int par.Inject.Campaign.jobs);
+        ("cores", of_int (Domain.recommended_domain_count ()));
       ]
     !obs_out par.Inject.Campaign.totals.Inject.Campaign.metrics;
   Format.printf "wrote %s@." !obs_out
@@ -580,29 +578,24 @@ let scaling () =
         (speedup r) (minor_per_run r))
     results;
   let entry (requested, r) =
-    Printf.sprintf
-      "    { \"jobs\": %d, \"domains_used\": %d, \"runs\": %d, \"seconds\": \
-       %.4f, \"runs_per_sec\": %.2f, \"speedup_vs_jobs1\": %.2f, \
-       \"minor_words_per_run\": %.0f }"
-      requested r.Inject.Campaign.jobs
-      r.Inject.Campaign.totals.Inject.Campaign.runs
-      r.Inject.Campaign.wall_seconds
-      (Inject.Campaign.runs_per_sec r)
-      (speedup r) (minor_per_run r)
+    Obs.Json.(
+      Obj
+        (series_point requested r
+        @ [
+            ("speedup_vs_jobs1", Number (speedup r));
+            ("minor_words_per_run", Number (minor_per_run r));
+          ]))
   in
-  let oc = open_out !scaling_out in
-  Printf.fprintf oc
-    "{\n\
-    \  \"benchmark\": \"scaling\",\n\
-    \  \"runs\": %d,\n\
-    \  \"cores\": %d,\n\
-    \  \"identical_totals\": true,\n\
-    \  \"series\": [\n%s\n  ]\n\
-     }\n"
-    n
-    (Domain.recommended_domain_count ())
-    (String.concat ",\n" (List.map entry results));
-  close_out oc;
+  Obs.Json.write_file !scaling_out
+    Obs.Json.(
+      Obj
+        [
+          ("benchmark", String "scaling");
+          ("runs", of_int n);
+          ("cores", of_int (Domain.recommended_domain_count ()));
+          ("identical_totals", Bool true);
+          ("series", List (List.map entry results));
+        ]);
   Format.printf "wrote %s@." !scaling_out;
   if !min_speedup > 0.0 then
     List.iter
@@ -729,29 +722,23 @@ let alloc () =
              name (counter name) sums.(pi)))
     phases;
   Format.printf "alloc.* counters bit-identical for jobs=1,2,4 (n=%d)@." n;
-  let oc = open_out !alloc_out in
-  Printf.fprintf oc
-    "{\n\
-    \  \"benchmark\": \"alloc\",\n\
-    \  \"runs\": %d,\n\
-    \  \"words_per_run\": %.1f,\n\
-    \  \"gc_delta_words_per_run\": %.1f,\n\
-    \  \"agreement\": %.4f,\n\
-    \  \"jobs_invariant\": true,\n\
-    \  \"phases\": {\n%s\n  }\n\
-     }\n"
-    n
-    (attributed /. float_of_int n)
-    (gc_delta /. float_of_int n)
-    agreement
-    (String.concat ",\n"
-       (List.mapi
-          (fun pi p ->
-            Printf.sprintf "    \"%s\": %.1f"
-              (Obs.Recorder.alloc_phase_name p)
-              (per_run sums.(pi)))
-          phases));
-  close_out oc;
+  Obs.Json.write_file !alloc_out
+    Obs.Json.(
+      Obj
+        [
+          ("benchmark", String "alloc");
+          ("runs", of_int n);
+          ("words_per_run", Number (attributed /. float_of_int n));
+          ("gc_delta_words_per_run", Number (gc_delta /. float_of_int n));
+          ("agreement", Number agreement);
+          ("jobs_invariant", Bool true);
+          ( "phases",
+            Obj
+              (List.mapi
+                 (fun pi p ->
+                   (Obs.Recorder.alloc_phase_name p, Number (per_run sums.(pi))))
+                 phases) );
+        ]);
   Format.printf "wrote %s@." !alloc_out
 
 (* ------------------------------------------------------------------ *)
@@ -804,16 +791,14 @@ let endurance () =
       (Printf.sprintf
          "endurance: %d recovery cycle(s) exceeded the %d-page leak budget"
          par.Endure.totals.Endure.budget_violations !leak_budget);
-  let oc = open_out !endurance_out in
-  Endure.write_json oc
+  Endure.write_json
     ~meta:
-      [
-        ("benchmark", `String "endurance");
-        ("base_seed", `Int 96_000);
-        ("identical_totals", `Bool true);
+      Obs.Json.[
+        ("benchmark", String "endurance");
+        ("base_seed", of_int 96_000);
+        ("identical_totals", Bool true);
       ]
-    par;
-  close_out oc;
+    !endurance_out par;
   Format.printf "wrote %s@." !endurance_out
 
 (* ------------------------------------------------------------------ *)
@@ -956,35 +941,34 @@ let snapshot_bench () =
              jobs))
     [ 2; 4 ];
   Format.printf "fan-out totals bit-identical for jobs=1,2,4 (n=%d)@." n;
-  let oc = open_out !snapshot_out in
-  Printf.fprintf oc
-    "{\n\
-    \  \"benchmark\": \"snapshot\",\n\
-    \  \"fresh_boot_minor_words\": %.0f,\n\
-    \  \"fresh_boot_ns\": %.0f,\n\
-    \  \"restore_minor_words\": %.0f,\n\
-    \  \"restore_fraction_of_fresh_boot\": %.4f,\n\
-    \  \"restore_by_outcome\": {\n%s\n  },\n\
-    \  \"fanout\": %d,\n\
-    \  \"fanout_runs\": %d,\n\
-    \  \"reprepare_runs_per_sec\": %.2f,\n\
-    \  \"fanout_runs_per_sec\": %.2f,\n\
-    \  \"fanout_speedup\": %.2f,\n\
-    \  \"identical_totals\": true\n\
-     }\n"
-    fresh_words fresh_ns restore_words restore_fraction
-    (String.concat ",\n"
-       (List.map
-          (fun (cls, (c, w, t)) ->
-            Printf.sprintf
-              "    \"%s\": { \"minor_words\": %.0f, \"ns\": %.0f, \"runs\": %d }"
-              cls
-              (w /. float_of_int c)
-              (t /. float_of_int c)
-              c)
-          class_rows))
-    fanout n reprep_rps fan_rps fan_speedup;
-  close_out oc;
+  Obs.Json.write_file !snapshot_out
+    Obs.Json.(
+      Obj
+        [
+          ("benchmark", String "snapshot");
+          ("fresh_boot_minor_words", Number fresh_words);
+          ("fresh_boot_ns", Number fresh_ns);
+          ("restore_minor_words", Number restore_words);
+          ("restore_fraction_of_fresh_boot", Number restore_fraction);
+          ( "restore_by_outcome",
+            Obj
+              (List.map
+                 (fun (cls, (c, w, t)) ->
+                   ( cls,
+                     Obj
+                       [
+                         ("minor_words", Number (w /. float_of_int c));
+                         ("ns", Number (t /. float_of_int c));
+                         ("runs", of_int c);
+                       ] ))
+                 class_rows) );
+          ("fanout", of_int fanout);
+          ("fanout_runs", of_int n);
+          ("reprepare_runs_per_sec", Number reprep_rps);
+          ("fanout_runs_per_sec", Number fan_rps);
+          ("fanout_speedup", Number fan_speedup);
+          ("identical_totals", Bool true);
+        ]);
   Format.printf "wrote %s@." !snapshot_out;
   if restore_fraction > 0.15 then begin
     Format.printf
@@ -1112,8 +1096,9 @@ let obs_overhead () =
      jobs>1 points oversubscribe so several domains run even on one
      core; the byte-level comparison covers exemplar bundles too. *)
   let triage_json r =
-    Obs.Postmortem.Triage.to_json
-      r.Inject.Campaign.totals.Inject.Campaign.triage
+    Obs.Json.to_string
+      (Obs.Postmortem.Triage.to_json
+         r.Inject.Campaign.totals.Inject.Campaign.triage)
   in
   let pm_json = triage_json pm in
   List.iter
@@ -1183,45 +1168,41 @@ let obs_overhead () =
     "repro fidelity: %d exemplar seed(s) re-ran to their own signature@."
     (List.length exemplars);
   if !triage_out <> "" then begin
-    let oc = open_out !triage_out in
-    output_string oc
+    Obs.Json.write_file !triage_out
       (Obs.Postmortem.Triage.to_json
          ~meta:
-           [
-             ("benchmark", `String "obs_overhead");
-             ("runs", `Int (min n 24));
-             ("base_seed", `Int 90_000);
+           Obs.Json.[
+             ("benchmark", String "obs_overhead");
+             ("runs", of_int (min n 24));
+             ("base_seed", of_int 90_000);
            ]
          dead_triage);
-    close_out oc;
     Format.printf "wrote %s@." !triage_out
   end;
-  let oc = open_out !obs_bench_out in
-  Printf.fprintf oc
-    "{\n\
-    \  \"benchmark\": \"obs_overhead\",\n\
-    \  \"runs\": %d,\n\
-    \  \"pairs\": %d,\n\
-    \  \"runs_per_pair_side\": %d,\n\
-    \  \"baseline_runs_per_sec\": %.2f,\n\
-    \  \"postmortem_runs_per_sec\": %.2f,\n\
-    \  \"paired_ratio_median\": %.4f,\n\
-    \  \"paired_ratio_q1\": %.4f,\n\
-    \  \"paired_ratio_q3\": %.4f,\n\
-    \  \"overhead_pct\": %.2f,\n\
-    \  \"overhead_ceiling_pct\": %.2f,\n\
-    \  \"baseline_minor_words_per_run\": %.0f,\n\
-    \  \"postmortem_minor_words_per_run\": %.0f,\n\
-    \  \"baseline_trace_events_per_run\": %.2f,\n\
-    \  \"postmortem_trace_events_per_run\": %.2f,\n\
-    \  \"identical_results\": true,\n\
-    \  \"triage_jobs_invariant\": true,\n\
-    \  \"triage_fanout_invariant\": true,\n\
-    \  \"repro_signatures_verified\": %d\n\
-     }\n"
-    n pairs pair_runs base_rps pm_rps ratio q1 q3 overhead_pct !max_obs_overhead (words_per_run base) (words_per_run pm)
-    base_events pm_events (List.length exemplars);
-  close_out oc;
+  Obs.Json.write_file !obs_bench_out
+    Obs.Json.(
+      Obj
+        [
+          ("benchmark", String "obs_overhead");
+          ("runs", of_int n);
+          ("pairs", of_int pairs);
+          ("runs_per_pair_side", of_int pair_runs);
+          ("baseline_runs_per_sec", Number base_rps);
+          ("postmortem_runs_per_sec", Number pm_rps);
+          ("paired_ratio_median", Number ratio);
+          ("paired_ratio_q1", Number q1);
+          ("paired_ratio_q3", Number q3);
+          ("overhead_pct", Number overhead_pct);
+          ("overhead_ceiling_pct", Number !max_obs_overhead);
+          ("baseline_minor_words_per_run", Number (words_per_run base));
+          ("postmortem_minor_words_per_run", Number (words_per_run pm));
+          ("baseline_trace_events_per_run", Number base_events);
+          ("postmortem_trace_events_per_run", Number pm_events);
+          ("identical_results", Bool true);
+          ("triage_jobs_invariant", Bool true);
+          ("triage_fanout_invariant", Bool true);
+          ("repro_signatures_verified", of_int (List.length exemplars));
+        ]);
   Format.printf "wrote %s@." !obs_bench_out;
   if overhead_pct > !max_obs_overhead then begin
     Format.printf
@@ -1312,7 +1293,7 @@ let fuzz_bench () =
       Obs.Postmortem.Triage.record ?bundle:r.Fuzz.Session.r_bundle tr sg
         ~seed:r.Fuzz.Session.r_point.Fuzz.Input.p_seed
     | None -> ());
-    Obs.Postmortem.Triage.to_json tr
+    Obs.Json.to_string (Obs.Postmortem.Triage.to_json tr)
   in
   let exemplars = Fuzz.Session.exemplars t in
   List.iter
@@ -1332,26 +1313,22 @@ let fuzz_bench () =
   Format.printf "repro fidelity: %d signature(s) replayed byte-identically@."
     (List.length exemplars);
   let coverage_wins = List.length fuzz_sigs > List.length grid_sigs in
-  let oc = open_out !fuzz_out in
-  Printf.fprintf oc
-    "{\n\
-    \  \"benchmark\": \"fuzz\",\n\
-    \  \"runs\": %d,\n\
-    \  \"grid_signatures\": %d,\n\
-    \  \"grid_secs\": %.2f,\n\
-    \  \"fuzz_signatures\": %d,\n\
-    \  \"fuzz_secs\": %.2f,\n\
-    \  \"coverage_points\": %d,\n\
-    \  \"corpus_entries\": %d,\n\
-    \  \"replayed_signatures\": %d,\n\
-    \  \"coverage_beats_grid\": %b\n\
-     }\n"
-    (per_kind * List.length kinds)
-    (List.length grid_sigs) grid_secs (List.length fuzz_sigs) fuzz_secs
-    (Fuzz.Corpus.n_points t.Fuzz.Session.s_corpus)
-    (List.length (Fuzz.Corpus.entries t.Fuzz.Session.s_corpus))
-    (List.length exemplars) coverage_wins;
-  close_out oc;
+  Obs.Json.write_file !fuzz_out
+    Obs.Json.(
+      Obj
+        [
+          ("benchmark", String "fuzz");
+          ("runs", of_int (per_kind * List.length kinds));
+          ("grid_signatures", of_int (List.length grid_sigs));
+          ("grid_secs", Number grid_secs);
+          ("fuzz_signatures", of_int (List.length fuzz_sigs));
+          ("fuzz_secs", Number fuzz_secs);
+          ("coverage_points", of_int (Fuzz.Corpus.n_points t.Fuzz.Session.s_corpus));
+          ( "corpus_entries",
+            of_int (List.length (Fuzz.Corpus.entries t.Fuzz.Session.s_corpus)) );
+          ("replayed_signatures", of_int (List.length exemplars));
+          ("coverage_beats_grid", Bool coverage_wins);
+        ]);
   Format.printf "wrote %s@." !fuzz_out;
   if not coverage_wins then begin
     Format.printf
@@ -1386,12 +1363,6 @@ let soak () =
         Inject.Run.Mech (Recovery.Engine.Nilihype, Recovery.Enhancement.full_set);
       hv_config = Hyper.Config.nilihype;
     }
-  in
-  let read_file path =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
   in
   let jobs = resolve_jobs () in
   (* Machines for every worker slot boot once, up front, and serve the
@@ -1503,33 +1474,37 @@ let soak () =
     Inject.Campaign.snapshot resumed.Inject.Campaign.totals
     = Inject.Campaign.snapshot uninterrupted.Inject.Campaign.totals
   in
+  (* Both files come from the one printer, so equal values mean equal
+     bytes. *)
   let bytes_identical =
-    read_file "SOAK_resume.json" = read_file "SOAK_uninterrupted.json"
+    match
+      (Obs.Json.read_file "SOAK_resume.json",
+       Obs.Json.read_file "SOAK_uninterrupted.json")
+    with
+    | Ok a, Ok b -> a = b
+    | _ -> false
   in
   Format.printf "resume aggregate identical: %b, checkpoint bytes identical: %b@."
     resume_identical bytes_identical;
-  let oc = open_out !soak_out in
-  Printf.fprintf oc
-    "{\n\
-    \  \"benchmark\": \"soak\",\n\
-    \  \"runs\": %d,\n\
-    \  \"jobs\": %d,\n\
-    \  \"seconds\": %.3f,\n\
-    \  \"runs_per_sec\": %.2f,\n\
-    \  \"minor_words_per_run\": %.0f,\n\
-    \  \"live_words_small\": %d,\n\
-    \  \"live_words_soak\": %d,\n\
-    \  \"top_heap_words_small\": %d,\n\
-    \  \"top_heap_words_soak\": %d,\n\
-    \  \"max_heap_growth_pct\": %.3f,\n\
-    \  \"max_heap_growth_ceiling_pct\": %.2f,\n\
-    \  \"resume_identical\": %b,\n\
-    \  \"checkpoint_bytes_identical\": %b\n\
-     }\n"
-    n big.Inject.Campaign.jobs big.Inject.Campaign.wall_seconds rps
-    words_per_run live_small live_big heap_small heap_big growth_pct
-    !max_heap_growth resume_identical bytes_identical;
-  close_out oc;
+  Obs.Json.write_file !soak_out
+    Obs.Json.(
+      Obj
+        [
+          ("benchmark", String "soak");
+          ("runs", of_int n);
+          ("jobs", of_int big.Inject.Campaign.jobs);
+          ("seconds", Number big.Inject.Campaign.wall_seconds);
+          ("runs_per_sec", Number rps);
+          ("minor_words_per_run", Number words_per_run);
+          ("live_words_small", of_int live_small);
+          ("live_words_soak", of_int live_big);
+          ("top_heap_words_small", of_int heap_small);
+          ("top_heap_words_soak", of_int heap_big);
+          ("max_heap_growth_pct", Number growth_pct);
+          ("max_heap_growth_ceiling_pct", Number !max_heap_growth);
+          ("resume_identical", Bool resume_identical);
+          ("checkpoint_bytes_identical", Bool bytes_identical);
+        ]);
   Format.printf "wrote %s@." !soak_out;
   if growth_pct > !max_heap_growth then begin
     Format.printf
@@ -1601,9 +1576,7 @@ let fleet_bench () =
   in
   Format.printf "aggregates jobs-invariant (jobs=%d vs %d): %b@." j (j + 1)
     invariant;
-  let oc = open_out !fleet_out in
-  Fleet.write_json oc cfg results;
-  close_out oc;
+  Fleet.write_json !fleet_out cfg results;
   Format.printf "wrote %s@." !fleet_out;
   if frac > !max_incremental_frac then begin
     Format.printf

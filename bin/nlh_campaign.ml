@@ -49,25 +49,25 @@ let run_campaign ~mech ~fault ~setup ~n ~seed ~jobs ~chunk ~fanout ~label =
   if !Obs_cli.metrics_file <> "" then
     Obs_cli.write_metrics
       ~meta:
-        [
-          ("tool", `String "nlh_campaign");
-          ("label", `String label);
-          ("runs", `Int n);
-          ("base_seed", `Int (Int64.to_int seed));
-          ("jobs", `Int result.Inject.Campaign.jobs);
-          ("fanout", `Int fanout);
-          ("cores", `Int (Domain.recommended_domain_count ()));
+        Obs.Json.[
+          ("tool", String "nlh_campaign");
+          ("label", String label);
+          ("runs", of_int n);
+          ("base_seed", of_int (Int64.to_int seed));
+          ("jobs", of_int result.Inject.Campaign.jobs);
+          ("fanout", of_int fanout);
+          ("cores", of_int (Domain.recommended_domain_count ()));
         ]
       !Obs_cli.metrics_file
       result.Inject.Campaign.totals.Inject.Campaign.metrics;
   Obs_cli.write_triage
     ~meta:
-      [
-        ("tool", `String "nlh_campaign");
-        ("label", `String label);
-        ("runs", `Int n);
-        ("base_seed", `Int (Int64.to_int seed));
-        ("fanout", `Int fanout);
+      Obs.Json.[
+        ("tool", String "nlh_campaign");
+        ("label", String label);
+        ("runs", of_int n);
+        ("base_seed", of_int (Int64.to_int seed));
+        ("fanout", of_int fanout);
       ]
     result.Inject.Campaign.totals.Inject.Campaign.triage;
   if !Obs_cli.trace_file <> "" then

@@ -114,39 +114,37 @@ let () =
     (Sim.Stats.Counts.sorted result.Endure.totals.Endure.death_notes);
   Obs_cli.write_triage
     ~meta:
-      [
-        ("tool", `String "nlh_endurance");
-        ("label", `String label);
-        ("scenarios", `Int !scenarios);
-        ("cycles", `Int !cycles);
-        ("base_seed", `Int !seed);
+      Obs.Json.[
+        ("tool", String "nlh_endurance");
+        ("label", String label);
+        ("scenarios", of_int !scenarios);
+        ("cycles", of_int !cycles);
+        ("base_seed", of_int !seed);
       ]
     result.Endure.totals.Endure.triage;
   if !json_out <> "" then begin
-    let oc = open_out !json_out in
-    Endure.write_json oc
+    Endure.write_json
       ~meta:
-        [
-          ("tool", `String "nlh_endurance");
-          ("label", `String label);
-          ("mechanism", `String mech_name);
-          ("fault", `String (Inject.Fault.name !fault));
-          ("base_seed", `Int !seed);
+        Obs.Json.[
+          ("tool", String "nlh_endurance");
+          ("label", String label);
+          ("mechanism", String mech_name);
+          ("fault", String (Inject.Fault.name !fault));
+          ("base_seed", of_int !seed);
         ]
-      result;
-    close_out oc;
+      !json_out result;
     Format.printf "endurance report written to %s@." !json_out
   end;
   if !Obs_cli.metrics_file <> "" then
     Obs_cli.write_metrics
       ~meta:
-        [
-          ("tool", `String "nlh_endurance");
-          ("label", `String label);
-          ("scenarios", `Int !scenarios);
-          ("cycles", `Int !cycles);
-          ("base_seed", `Int !seed);
-          ("jobs", `Int result.Endure.jobs);
+        Obs.Json.[
+          ("tool", String "nlh_endurance");
+          ("label", String label);
+          ("scenarios", of_int !scenarios);
+          ("cycles", of_int !cycles);
+          ("base_seed", of_int !seed);
+          ("jobs", of_int result.Endure.jobs);
         ]
       !Obs_cli.metrics_file
       result.Endure.totals.Endure.metrics;

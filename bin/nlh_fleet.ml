@@ -85,8 +85,6 @@ let () =
       mechs
   in
   if !out <> "" then begin
-    let oc = open_out !out in
-    Fleet.write_json oc cfg results;
-    close_out oc;
+    Fleet.write_json !out cfg results;
     Format.printf "@.wrote %s@." !out
   end

@@ -30,7 +30,7 @@ let triage_entry_json (r : Fuzz.Session.replay_result) =
     Obs.Postmortem.Triage.record ?bundle:r.Fuzz.Session.r_bundle tr sg
       ~seed:r.Fuzz.Session.r_point.Fuzz.Input.p_seed
   | None -> ());
-  Obs.Postmortem.Triage.to_json tr
+  Obs.Json.to_string (Obs.Postmortem.Triage.to_json tr)
 
 let () =
   let mech = ref `Nilihype in
@@ -185,10 +185,10 @@ let () =
       (Fuzz.Session.exemplars t);
     Obs_cli.write_triage
       ~meta:
-        [
-          ("tool", `String "nlh_fuzz");
-          ("runs", `Int !runs);
-          ("base_seed", `Int !seed);
+        Obs.Json.[
+          ("tool", String "nlh_fuzz");
+          ("runs", of_int !runs);
+          ("base_seed", of_int !seed);
         ]
       t.Fuzz.Session.s_triage
   end

@@ -36,44 +36,48 @@ let empirical_latency ~runs ~jobs =
   | None -> Format.printf "  no recovery latency samples recorded@.");
   r
 
-(* Hand-rolled like the bench records: schema [nlh-latency/1]. The
-   analytic Table II/III latencies plus, when --runs was given, the
-   empirical campaign cross-check with its words/run -- so latency
-   explorations are covered by the same allocation accounting as
-   campaigns. *)
+(* Schema [nlh-latency/1]: the analytic Table II/III latencies plus, when
+   --runs was given, the empirical campaign cross-check with its
+   words/run -- so latency explorations are covered by the same
+   allocation accounting as campaigns. *)
 let write_json path ~mem_gb ~mconfig ~(nl : Recovery.Engine.outcome)
     ~(re : Recovery.Engine.outcome) ~(empirical : Inject.Campaign.result option)
     =
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"schema\": \"nlh-latency/1\",\n";
-  Printf.fprintf oc "  \"tool\": \"nlh_latency\",\n";
-  Printf.fprintf oc "  \"mem_gb\": %d,\n  \"cpus\": %d,\n" mem_gb
-    mconfig.Hw.Machine.num_cpus;
-  Printf.fprintf oc "  \"nilihype_latency_ns\": %d,\n" nl.Recovery.Engine.latency;
-  Printf.fprintf oc "  \"rehype_latency_ns\": %d,\n" re.Recovery.Engine.latency;
-  Printf.fprintf oc "  \"rehype_over_nilihype\": %.2f" 
-    (float_of_int re.Recovery.Engine.latency
-    /. float_of_int nl.Recovery.Engine.latency);
-  (match empirical with
-  | None -> ()
-  | Some r ->
-    Printf.fprintf oc ",\n  \"empirical\": {\n";
-    Printf.fprintf oc "    \"runs\": %d,\n    \"jobs\": %d,\n"
-      r.Inject.Campaign.totals.Inject.Campaign.runs r.Inject.Campaign.jobs;
-    Printf.fprintf oc "    \"seconds\": %.3f,\n" r.Inject.Campaign.wall_seconds;
-    Printf.fprintf oc "    \"runs_per_sec\": %.1f,\n"
-      (Inject.Campaign.runs_per_sec r);
-    Printf.fprintf oc "    \"minor_words\": %.0f,\n"
-      r.Inject.Campaign.minor_words;
-    Printf.fprintf oc "    \"minor_words_per_run\": %.0f,\n"
-      (minor_words_per_run r);
-    (match Inject.Campaign.mean_latency r with
-    | Some l -> Printf.fprintf oc "    \"mean_recovery_latency_ns\": %.0f,\n" l
-    | None -> ());
-    Printf.fprintf oc "    \"latency_samples\": %d\n  }"
-      r.Inject.Campaign.totals.Inject.Campaign.latency_samples);
-  Printf.fprintf oc "\n}\n";
-  close_out oc;
+  let empirical_fields (r : Inject.Campaign.result) =
+    let t = r.Inject.Campaign.totals in
+    Obs.Json.(
+      [
+        ("runs", of_int t.Inject.Campaign.runs);
+        ("jobs", of_int r.Inject.Campaign.jobs);
+        ("seconds", Number r.Inject.Campaign.wall_seconds);
+        ("runs_per_sec", Number (Inject.Campaign.runs_per_sec r));
+        ("minor_words", Number r.Inject.Campaign.minor_words);
+        ("minor_words_per_run", Number (minor_words_per_run r));
+      ]
+      @ (match Inject.Campaign.mean_latency r with
+        | Some l -> [ ("mean_recovery_latency_ns", Number l) ]
+        | None -> [])
+      @ [ ("latency_samples", of_int t.Inject.Campaign.latency_samples) ])
+  in
+  Obs.Json.write_file path
+    Obs.Json.(
+      Obj
+        ([
+           ("schema", String "nlh-latency/1");
+           ("tool", String "nlh_latency");
+           ("mem_gb", of_int mem_gb);
+           ("cpus", of_int mconfig.Hw.Machine.num_cpus);
+           ("nilihype_latency_ns", of_int nl.Recovery.Engine.latency);
+           ("rehype_latency_ns", of_int re.Recovery.Engine.latency);
+           ( "rehype_over_nilihype",
+             Number
+               (float_of_int re.Recovery.Engine.latency
+               /. float_of_int nl.Recovery.Engine.latency) );
+         ]
+        @
+        match empirical with
+        | None -> []
+        | Some r -> [ ("empirical", Obj (empirical_fields r)) ]));
   Format.printf "latency report written to %s@." path
 
 let () =
@@ -141,10 +145,10 @@ let () =
     if !Obs_cli.metrics_file <> "" then
       Obs_cli.write_metrics
         ~meta:
-          [
-            ("tool", `String "nlh_latency");
-            ("mem_gb", `Int !mem_gb);
-            ("cpus", `Int mconfig.Hw.Machine.num_cpus);
+          Obs.Json.[
+            ("tool", String "nlh_latency");
+            ("mem_gb", of_int !mem_gb);
+            ("cpus", of_int mconfig.Hw.Machine.num_cpus);
           ]
         !Obs_cli.metrics_file
         (Obs.Recorder.metrics_snapshot r)

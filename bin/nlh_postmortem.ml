@@ -8,126 +8,89 @@
    flight-ring tails and the resource-ledger diff. Accepts several files
    and dispatches per file on the "schema" member. *)
 
+open Obs.Json
+
 let die fmt = Format.kasprintf (fun s -> prerr_endline s; exit 1) fmt
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let get path what key v =
-  match Obs.Json.member key v with
-  | Some x -> x
-  | None -> die "%s: %s: missing %S" path what key
-
-let str path what key v =
-  match Obs.Json.to_string (get path what key v) with
-  | Some s -> s
-  | None -> die "%s: %s: %S is not a string" path what key
-
-let int_of path what key v =
-  match Obs.Json.to_number (get path what key v) with
-  | Some f -> int_of_float f
-  | None -> die "%s: %s: %S is not a number" path what key
-
-let list_of path what key v =
-  match Obs.Json.to_list (get path what key v) with
-  | Some l -> l
-  | None -> die "%s: %s: %S is not an array" path what key
-
-let named_ns path what key v =
+let named_ns key v =
   List.map
-    (fun e -> (str path what "name" e, int_of path what "ns" e))
-    (list_of path what key v)
+    (fun e -> (string (field "name" e), int (field "ns" e)))
+    (list (field key v))
 
 (* --- Bundle rendering ------------------------------------------------ *)
 
-let print_bundle path what b =
-  Printf.printf "  signature: %s\n" (str path what "signature" b);
-  Printf.printf "  outcome:   %s\n" (str path what "outcome" b);
-  Printf.printf "  seed:      %d\n" (int_of path what "seed" b);
-  Printf.printf "  repro:     %s\n" (str path what "repro" b);
-  (match get path what "config" b with
-  | Obs.Json.Obj fields ->
-    Printf.printf "  config:   ";
-    List.iter
-      (fun (k, v) ->
-        match Obs.Json.to_string v with
-        | Some s -> Printf.printf " %s=%s" k s
-        | None -> ())
-      fields;
-    print_newline ()
-  | _ -> ());
-  let timeline = list_of path what "timeline" b in
+let print_bundle b =
+  Printf.printf "  signature: %s\n" (string (field "signature" b));
+  Printf.printf "  outcome:   %s\n" (string (field "outcome" b));
+  Printf.printf "  seed:      %d\n" (int (field "seed" b));
+  Printf.printf "  repro:     %s\n" (string (field "repro" b));
+  Printf.printf "  config:   ";
+  List.iter
+    (fun (k, v) -> Printf.printf " %s=%s" k (string v))
+    (obj (field "config" b));
+  print_newline ();
+  let timeline = list (field "timeline" b) in
   if timeline <> [] then begin
     Printf.printf "  timeline (%d events):\n" (List.length timeline);
     List.iter
       (fun e ->
         Printf.printf "    %10d ns  %-9s %s\n"
-          (int_of path what "ns" e)
-          (str path what "label" e)
-          (str path what "event" e))
+          (int (field "ns" e))
+          (string (field "label" e))
+          (string (field "event" e)))
       timeline
   end;
-  (match get path what "first_touch" b with
-  | Obs.Json.Null -> ()
+  (match field "first_touch" b with
+  | Null -> ()
   | ft ->
     Printf.printf "  first touch after injection: %s at %d ns\n"
-      (str path what "name" ft) (int_of path what "ns" ft));
+      (string (field "name" ft))
+      (int (field "ns" ft)));
   let section title rows =
     if rows <> [] then begin
       Printf.printf "  %s:\n" title;
       List.iter (fun (n, ns) -> Printf.printf "    %-28s %10d ns\n" n ns) rows
     end
   in
-  section "recovery phases" (named_ns path what "recovery_phases" b);
-  section "hypercall tail" (named_ns path what "hypercalls" b);
-  section "journal tail" (named_ns path what "journal_tail" b);
-  match get path what "ledger_diff" b with
-  | Obs.Json.Obj fields when fields <> [] ->
+  section "recovery phases" (named_ns "recovery_phases" b);
+  section "hypercall tail" (named_ns "hypercalls" b);
+  section "journal tail" (named_ns "journal_tail" b);
+  match int_map (field "ledger_diff" b) with
+  | [] -> ()
+  | diff ->
     Printf.printf "  ledger diff vs boot:\n";
-    List.iter
-      (fun (k, v) ->
-        match Obs.Json.to_number v with
-        | Some f -> Printf.printf "    %-28s %+d\n" k (int_of_float f)
-        | None -> ())
-      fields
-  | _ -> ()
+    List.iter (fun (k, v) -> Printf.printf "    %-28s %+d\n" k v) diff
 
 (* --- Triage rendering ------------------------------------------------ *)
 
 let print_triage path root =
-  let sigs = list_of path "document" "signatures" root in
+  let sigs = list (field "signatures" root) in
   Printf.printf "%s: %d failure(s) across %d signature(s)\n" path
-    (int_of path "document" "total" root)
-    (List.length sigs);
+    (int (field "total" root)) (List.length sigs);
   let by_count =
     (* Descending count, key as the deterministic tie-break. *)
     List.stable_sort
       (fun a b ->
-        let ca = int_of path "sig" "count" a
-        and cb = int_of path "sig" "count" b in
+        let ca = int (field "count" a) and cb = int (field "count" b) in
         if ca <> cb then compare cb ca
         else
-          String.compare (str path "sig" "signature" a)
-            (str path "sig" "signature" b))
+          String.compare
+            (string (field "signature" a))
+            (string (field "signature" b)))
       sigs
   in
   List.iter
     (fun e ->
-      let what = "signature " ^ str path "sig" "signature" e in
-      Printf.printf "\n%4dx %s\n" (int_of path what "count" e)
-        (str path what "signature" e);
-      let seeds =
-        List.filter_map Obs.Json.to_number (list_of path what "seeds" e)
-      in
+      Printf.printf "\n%4dx %s\n"
+        (int (field "count" e))
+        (string (field "signature" e));
       Printf.printf "      seeds:%s\n"
         (String.concat ""
-           (List.map (fun s -> Printf.sprintf " %d" (int_of_float s)) seeds));
-      match get path what "exemplar" e with
-      | Obs.Json.Null -> ()
-      | b -> Printf.printf "      repro: %s\n" (str path what "repro" b))
+           (List.map
+              (fun s -> Printf.sprintf " %d" (int s))
+              (list (field "seeds" e))));
+      match field "exemplar" e with
+      | Null -> ()
+      | b -> Printf.printf "      repro: %s\n" (string (field "repro" b)))
     by_count
 
 let () =
@@ -135,17 +98,15 @@ let () =
     die "usage: nlh_postmortem TRIAGE.json|BUNDLE.json...";
   for i = 1 to Array.length Sys.argv - 1 do
     let path = Sys.argv.(i) in
-    let contents = try read_file path with Sys_error e -> die "%s" e in
-    let root =
-      match Obs.Json.parse contents with
-      | Ok v -> v
-      | Error msg -> die "%s: invalid JSON: %s" path msg
-    in
-    match Option.bind (Obs.Json.member "schema" root) Obs.Json.to_string with
-    | Some "nlh-triage/1" -> print_triage path root
-    | Some "nlh-postmortem/1" ->
-      Printf.printf "%s:\n" path;
-      print_bundle path "bundle" root
-    | Some s -> die "%s: unsupported schema %S" path s
-    | None -> die "%s: missing schema member" path
+    match read_file path with
+    | Error e -> die "%s" e
+    | Ok root -> (
+      try
+        match string (field "schema" root) with
+        | "nlh-triage/1" -> print_triage path root
+        | "nlh-postmortem/1" ->
+          Printf.printf "%s:\n" path;
+          print_bundle root
+        | s -> die "%s: unsupported schema %S" path s
+      with Invalid msg -> die "%s: %s" path msg)
   done

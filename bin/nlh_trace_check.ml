@@ -21,13 +21,9 @@
    Accepts any number of files; used by the @check alias as the
    export smoke test. *)
 
-let die fmt = Format.kasprintf (fun s -> prerr_endline s; exit 1) fmt
+open Obs.Json
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let die fmt = Format.kasprintf (fun s -> prerr_endline s; exit 1) fmt
 
 (* --- Chrome-trace ---------------------------------------------------- *)
 
@@ -36,26 +32,18 @@ let check_chrome path events =
   let last_ts = ref neg_infinity in
   List.iteri
     (fun i row ->
-      let str key =
-        match Option.bind (Obs.Json.member key row) Obs.Json.to_string with
-        | Some s -> s
-        | None -> die "%s: traceEvents[%d]: missing string %S" path i key
-      in
-      let num key =
-        match Option.bind (Obs.Json.member key row) Obs.Json.to_number with
-        | Some f -> f
-        | None -> die "%s: traceEvents[%d]: missing number %S" path i key
-      in
-      if str "name" = "" then die "%s: traceEvents[%d]: empty name" path i;
-      let ts = num "ts" in
+      if string (field "name" row) = "" then
+        die "%s: traceEvents[%d]: empty name" path i;
+      let ts = number (field "ts" row) in
       if ts < 0.0 then die "%s: traceEvents[%d]: negative ts" path i;
       if ts < !last_ts then
         die "%s: traceEvents[%d]: ts %.3f < previous %.3f (not monotone)" path
           i ts !last_ts;
       last_ts := ts;
-      match str "ph" with
+      match string (field "ph" row) with
       | "X" ->
-        if num "dur" < 0.0 then die "%s: traceEvents[%d]: negative dur" path i;
+        if number (field "dur" row) < 0.0 then
+          die "%s: traceEvents[%d]: negative dur" path i;
         incr spans
       | "i" -> incr instants
       | ph -> die "%s: traceEvents[%d]: unexpected ph %S" path i ph)
@@ -63,59 +51,16 @@ let check_chrome path events =
   Printf.printf "%s: OK chrome-trace (%d rows: %d spans, %d instants)\n" path
     (List.length events) !spans !instants
 
-(* --- Shared accessors ------------------------------------------------ *)
-
-let obj_members path what v =
-  match v with
-  | Obs.Json.Obj fields -> fields
-  | _ -> die "%s: %s is not an object" path what
-
-let list_of path what v =
-  match Obs.Json.to_list v with
-  | Some l -> l
-  | None -> die "%s: %s is not an array" path what
-
-let get path what key v =
-  match Obs.Json.member key v with
-  | Some x -> x
-  | None -> die "%s: %s: missing %S" path what key
-
-let num path what key v =
-  match Obs.Json.to_number (get path what key v) with
-  | Some f -> f
-  | None -> die "%s: %s: %S is not a number" path what key
-
-let str path what key v =
-  match Obs.Json.to_string (get path what key v) with
-  | Some s -> s
-  | None -> die "%s: %s: %S is not a string" path what key
-
-let int_assoc path what v =
-  List.iter
-    (fun (k, x) ->
-      if Obs.Json.to_number x = None then
-        die "%s: %s: %S is not a number" path what k)
-    (obj_members path what v)
-
 (* --- nlh-obs/1 ------------------------------------------------------- *)
 
 let check_metrics path root =
-  int_assoc path "counters" (get path "document" "counters" root);
-  int_assoc path "gauges" (get path "document" "gauges" root);
-  let hists =
-    obj_members path "histograms" (get path "document" "histograms" root)
-  in
+  ignore (int_map (field "counters" root));
+  ignore (int_map (field "gauges" root));
+  let hists = obj (field "histograms" root) in
   List.iter
     (fun (name, h) ->
       let what = Printf.sprintf "histograms[%S]" name in
-      let bounds =
-        List.map
-          (fun b ->
-            match Obs.Json.to_number b with
-            | Some f -> f
-            | None -> die "%s: %s: non-numeric bound" path what)
-          (list_of path what (get path what "bounds" h))
-      in
+      let bounds = List.map number (list (field "bounds" h)) in
       let rec mono = function
         | a :: (b :: _ as r) ->
           if a >= b then die "%s: %s: bounds not strictly increasing" path what;
@@ -126,21 +71,21 @@ let check_metrics path root =
       let counts =
         List.map
           (fun c ->
-            match Obs.Json.to_number c with
-            | Some f when f >= 0.0 -> f
-            | _ -> die "%s: %s: bad bucket count" path what)
-          (list_of path what (get path what "counts" h))
+            let f = number c in
+            if f < 0.0 then die "%s: %s: bad bucket count" path what;
+            f)
+          (list (field "counts" h))
       in
       if List.length counts <> List.length bounds + 1 then
         die "%s: %s: %d counts for %d bounds (want bounds+1)" path what
           (List.length counts) (List.length bounds);
-      let samples = num path what "samples" h in
-      ignore (num path what "sum" h);
+      let samples = number (field "samples" h) in
+      ignore (number (field "sum" h));
       if List.fold_left ( +. ) 0.0 counts <> samples then
         die "%s: %s: counts do not sum to samples" path what;
       (* Quantiles: present together iff the histogram is non-empty,
          and necessarily ordered. *)
-      let q key = Option.bind (Obs.Json.member key h) Obs.Json.to_number in
+      let q key = Option.map number (member key h) in
       match (q "p50", q "p99", q "p999") with
       | Some p50, Some p99, Some p999 ->
         if samples <= 0.0 then
@@ -159,62 +104,62 @@ let check_metrics path root =
 
 (* Shared between standalone bundle files and triage exemplars. *)
 let check_bundle path what b =
-  let sg = str path what "signature" b in
+  let sg = string (field "signature" b) in
   let parts = String.split_on_char '|' sg in
   if List.length parts <> 4 || List.exists (fun p -> p = "") parts then
     die "%s: %s: signature %S is not fault|target|cause|branch" path what sg;
-  if str path what "outcome" b = "" then die "%s: %s: empty outcome" path what;
-  if str path what "repro" b = "" then die "%s: %s: empty repro" path what;
-  ignore (num path what "seed" b);
+  if string (field "outcome" b) = "" then die "%s: %s: empty outcome" path what;
+  if string (field "repro" b) = "" then die "%s: %s: empty repro" path what;
+  ignore (number (field "seed" b));
   List.iter
     (fun (k, v) ->
-      if Obs.Json.to_string v = None then
-        die "%s: %s: config[%S] is not a string" path what k)
-    (obj_members path (what ^ ".config") (get path what "config" b));
+      match v with
+      | String _ -> ()
+      | _ -> die "%s: %s: config[%S] is not a string" path what k)
+    (obj (field "config" b));
   let last_ns = ref neg_infinity in
   List.iteri
     (fun i e ->
       let ewhat = Printf.sprintf "%s.timeline[%d]" what i in
-      if str path ewhat "label" e = "" then die "%s: %s: empty label" path ewhat;
-      if str path ewhat "event" e = "" then die "%s: %s: empty event" path ewhat;
-      let ns = num path ewhat "ns" e in
+      if string (field "label" e) = "" then
+        die "%s: %s: empty label" path ewhat;
+      if string (field "event" e) = "" then
+        die "%s: %s: empty event" path ewhat;
+      let ns = number (field "ns" e) in
       if ns < !last_ns then die "%s: %s: timeline not monotone" path ewhat;
       last_ns := ns)
-    (list_of path (what ^ ".timeline") (get path what "timeline" b));
-  (match get path what "first_touch" b with
-  | Obs.Json.Null -> ()
+    (list (field "timeline" b));
+  (match field "first_touch" b with
+  | Null -> ()
   | ft ->
-    ignore (str path (what ^ ".first_touch") "name" ft);
-    ignore (num path (what ^ ".first_touch") "ns" ft));
+    ignore (string (field "name" ft));
+    ignore (number (field "ns" ft)));
   List.iter
     (fun key ->
-      List.iteri
-        (fun i e ->
-          let ewhat = Printf.sprintf "%s.%s[%d]" what key i in
-          ignore (str path ewhat "name" e);
-          ignore (num path ewhat "ns" e))
-        (list_of path (what ^ "." ^ key) (get path what key b)))
+      List.iter
+        (fun e ->
+          ignore (string (field "name" e));
+          ignore (number (field "ns" e)))
+        (list (field key b)))
     [ "recovery_phases"; "hypercalls"; "journal_tail" ];
-  int_assoc path (what ^ ".ledger_diff") (get path what "ledger_diff" b)
+  ignore (int_map (field "ledger_diff" b))
 
 let check_postmortem path root =
   check_bundle path "bundle" root;
   Printf.printf "%s: OK nlh-postmortem/1 (%s)\n" path
-    (str path "bundle" "signature" root)
+    (string (field "signature" root))
 
 (* --- nlh-triage/1 ---------------------------------------------------- *)
 
 let check_triage path root =
-  let total = num path "document" "total" root in
-  let sigs =
-    list_of path "signatures" (get path "document" "signatures" root)
-  in
+  let total = number (field "total" root) in
+  let sigs = list (field "signatures" root) in
   let counted = ref 0.0 in
   let last_key = ref "" in
   List.iteri
     (fun i e ->
       let what = Printf.sprintf "signatures[%d]" i in
-      let key = str path what "signature" e in
+      let key = string (field "signature" e) in
       if key <= !last_key && i > 0 then
         die "%s: %s: keys not strictly key-sorted" path what;
       last_key := key;
@@ -222,25 +167,18 @@ let check_triage path root =
       let recomposed =
         String.concat "|"
           [
-            str path what "fault" e;
-            str path what "target" e;
-            str path what "cause" e;
-            str path what "branch" e;
+            string (field "fault" e);
+            string (field "target" e);
+            string (field "cause" e);
+            string (field "branch" e);
           ]
       in
       if recomposed <> key then
         die "%s: %s: fields %S disagree with key %S" path what recomposed key;
-      let count = num path what "count" e in
+      let count = number (field "count" e) in
       if count < 1.0 then die "%s: %s: count < 1" path what;
       counted := !counted +. count;
-      let seeds =
-        List.map
-          (fun s ->
-            match Obs.Json.to_number s with
-            | Some f -> f
-            | None -> die "%s: %s: non-numeric seed" path what)
-          (list_of path (what ^ ".seeds") (get path what "seeds" e))
-      in
+      let seeds = List.map number (list (field "seeds" e)) in
       if seeds = [] then die "%s: %s: empty seed set" path what;
       let rec asc = function
         | a :: (b :: _ as r) ->
@@ -249,11 +187,11 @@ let check_triage path root =
         | _ -> ()
       in
       asc seeds;
-      match get path what "exemplar" e with
-      | Obs.Json.Null -> ()
+      match field "exemplar" e with
+      | Null -> ()
       | b ->
         check_bundle path (what ^ ".exemplar") b;
-        if str path (what ^ ".exemplar") "signature" b <> key then
+        if string (field "signature" b) <> key then
           die "%s: %s: exemplar signature disagrees with key" path what)
     sigs;
   if !counted <> total then
@@ -267,57 +205,53 @@ let check_triage path root =
    quantiles), so the full nlh-obs/1 check does not apply: validate the
    counters/gauges maps and histogram raw-field invariants only. *)
 let check_payload_metrics path what m =
-  int_assoc path (what ^ ".counters") (get path what "counters" m);
-  int_assoc path (what ^ ".gauges") (get path what "gauges" m);
+  ignore (int_map (field "counters" m));
+  ignore (int_map (field "gauges" m));
   List.iter
     (fun (name, h) ->
       let hwhat = Printf.sprintf "%s.histograms[%S]" what name in
-      let bounds = list_of path hwhat (get path hwhat "bounds" h) in
+      let bounds = list (field "bounds" h) in
       let counts =
         List.map
           (fun c ->
-            match Obs.Json.to_number c with
-            | Some f when f >= 0.0 -> f
-            | _ -> die "%s: %s: bad bucket count" path hwhat)
-          (list_of path hwhat (get path hwhat "counts" h))
+            let f = number c in
+            if f < 0.0 then die "%s: %s: bad bucket count" path hwhat;
+            f)
+          (list (field "counts" h))
       in
       if List.length counts <> List.length bounds + 1 then
         die "%s: %s: %d counts for %d bounds (want bounds+1)" path hwhat
           (List.length counts) (List.length bounds);
-      if List.fold_left ( +. ) 0.0 counts <> num path hwhat "samples" h then
+      if List.fold_left ( +. ) 0.0 counts <> number (field "samples" h) then
         die "%s: %s: counts do not sum to samples" path hwhat)
-    (obj_members path (what ^ ".histograms") (get path what "histograms" m))
+    (obj (field "histograms" m))
 
 let check_checkpoint path root =
-  let kind = str path "checkpoint" "kind" root in
+  let kind = string (field "kind" root) in
   if kind <> "campaign" && kind <> "endurance" then
     die "%s: checkpoint kind %S is neither campaign nor endurance" path kind;
-  if str path "checkpoint" "fingerprint" root = "" then
+  if string (field "fingerprint" root) = "" then
     die "%s: empty fingerprint" path;
-  let chunk = num path "checkpoint" "chunk" root in
+  let chunk = number (field "chunk" root) in
   if chunk < 1.0 then die "%s: chunk %g < 1" path chunk;
-  let n_chunks = num path "checkpoint" "n_chunks" root in
+  let n_chunks = number (field "n_chunks" root) in
   let last = ref (-1.0) in
-  let dones =
-    list_of path "done" (get path "checkpoint" "done" root)
-  in
+  let dones = list (field "done" root) in
   List.iter
     (fun v ->
-      match Obs.Json.to_number v with
-      | Some i ->
-        if i < 0.0 || i >= n_chunks then
-          die "%s: done index %g outside [0, %g)" path i n_chunks;
-        if i <= !last then die "%s: done indices not strictly ascending" path;
-        last := i
-      | None -> die "%s: non-numeric done index" path)
+      let i = number v in
+      if i < 0.0 || i >= n_chunks then
+        die "%s: done index %g outside [0, %g)" path i n_chunks;
+      if i <= !last then die "%s: done indices not strictly ascending" path;
+      last := i)
     dones;
-  let payload = get path "checkpoint" "payload" root in
-  ignore (obj_members path "payload" payload);
+  let payload = field "payload" root in
+  ignore (obj payload);
   (if kind = "campaign" then begin
-     let fanout = num path "payload" "fanout" payload in
+     let fanout = number (field "fanout" payload) in
      if fanout < 1.0 then die "%s: payload fanout %g < 1" path fanout;
-     let t = get path "payload" "totals" payload in
-     let f k = num path "totals" k t in
+     let t = field "totals" payload in
+     let f k = number (field k t) in
      List.iter
        (fun k -> ignore (f k))
        [
@@ -326,12 +260,12 @@ let check_checkpoint path root =
        ];
      if f "runs" <> f "non_manifested" +. f "sdc" +. f "detected" then
        die "%s: totals: runs <> non_manifested + sdc + detected" path;
-     int_assoc path "totals.notes" (get path "totals" "notes" t);
-     check_payload_metrics path "totals.metrics" (get path "totals" "metrics" t)
+     ignore (int_map (field "notes" t));
+     check_payload_metrics path "totals.metrics" (field "metrics" t)
    end
    else begin
-     let t = get path "payload" "totals" payload in
-     let f k = num path "totals" k t in
+     let t = field "totals" payload in
+     let f k = number (field k t) in
      List.iter
        (fun k -> ignore (f k))
        [
@@ -343,20 +277,18 @@ let check_checkpoint path root =
      List.iteri
        (fun i cv ->
          let what = Printf.sprintf "totals.per_cycle[%d]" i in
-         let fields = list_of path what cv in
+         let fields = list cv in
          if List.length fields <> 9 then
            die "%s: %s: expected 9 ints, got %d" path what
              (List.length fields);
          List.iter
            (fun x ->
-             match Obs.Json.to_number x with
-             | Some f when f >= 0.0 -> ()
-             | _ -> die "%s: %s: bad cycle field" path what)
+             if number x < 0.0 then die "%s: %s: bad cycle field" path what)
            fields)
-       (list_of path "totals.per_cycle" (get path "totals" "per_cycle" t));
-     int_assoc path "totals.leaks" (get path "totals" "leaks" t);
-     int_assoc path "totals.death_notes" (get path "totals" "death_notes" t);
-     check_payload_metrics path "totals.metrics" (get path "totals" "metrics" t)
+       (list (field "per_cycle" t));
+     ignore (int_map (field "leaks" t));
+     ignore (int_map (field "death_notes" t));
+     check_payload_metrics path "totals.metrics" (field "metrics" t)
    end);
   Printf.printf "%s: OK nlh-checkpoint/1 (%s, %d/%g chunks done)\n" path kind
     (List.length dones) n_chunks
@@ -369,37 +301,35 @@ let check_checkpoint path root =
    the accounting identity evaluated = kept + duds, the canonically
    sorted corpus entries and the sorted coverage map into them. *)
 let check_fuzz path root =
-  let kind = str path "fuzz" "kind" root in
+  let kind = string (field "kind" root) in
   if kind <> "fuzz" then die "%s: fuzz checkpoint kind %S" path kind;
-  if str path "fuzz" "fingerprint" root = "" then
+  if string (field "fingerprint" root) = "" then
     die "%s: empty fingerprint" path;
-  if num path "fuzz" "chunk" root < 1.0 then die "%s: chunk < 1" path;
-  let n_chunks = num path "fuzz" "n_chunks" root in
-  let dones = list_of path "done" (get path "fuzz" "done" root) in
+  if number (field "chunk" root) < 1.0 then die "%s: chunk < 1" path;
+  let n_chunks = number (field "n_chunks" root) in
+  let dones = list (field "done" root) in
   List.iteri
     (fun i v ->
-      match Obs.Json.to_number v with
-      | Some f ->
-        if f <> float_of_int i then
-          die "%s: done rounds are not the prefix 0..%d" path
-            (List.length dones - 1);
-        if f >= n_chunks then die "%s: done index %g out of range" path f
-      | None -> die "%s: non-numeric done index" path)
+      let f = number v in
+      if f <> float_of_int i then
+        die "%s: done rounds are not the prefix 0..%d" path
+          (List.length dones - 1);
+      if f >= n_chunks then die "%s: done index %g out of range" path f)
     dones;
-  let payload = get path "fuzz" "payload" root in
+  let payload = field "payload" root in
   let int64_str what key =
-    let s = str path what key payload in
+    let s = string (field key payload) in
     if Int64.of_string_opt s = None then
       die "%s: %s.%s %S is not an int64" path what key s
   in
   int64_str "payload" "base_seed";
   int64_str "payload" "rng";
-  let evaluated = num path "payload" "evaluated" payload in
-  let kept = num path "payload" "kept" payload in
-  let dud = num path "payload" "dud" payload in
+  let evaluated = number (field "evaluated" payload) in
+  let kept = number (field "kept" payload) in
+  let dud = number (field "dud" payload) in
   if evaluated <> kept +. dud then
     die "%s: evaluated %g <> kept %g + duds %g" path evaluated kept dud;
-  let entries = list_of path "entries" (get path "payload" "entries" payload) in
+  let entries = list (field "entries" payload) in
   let last_trace = ref None in
   List.iteri
     (fun i e ->
@@ -407,13 +337,11 @@ let check_fuzz path root =
       let trace =
         List.map
           (fun c ->
-            match Obs.Json.to_number c with
-            | Some f
-              when Float.is_integer f && f >= 0.0
-                   && f < float_of_int Fuzz.Input.op_space ->
-              int_of_float f
-            | _ -> die "%s: %s: bad trace op code" path what)
-          (list_of path (what ^ ".trace") (get path what "trace" e))
+            let op = int c in
+            if op < 0 || op >= Fuzz.Input.op_space then
+              die "%s: %s: bad trace op code" path what;
+            op)
+          (list (field "trace" e))
       in
       if trace = [] then die "%s: %s: empty trace" path what;
       (match !last_trace with
@@ -422,11 +350,12 @@ let check_fuzz path root =
         die "%s: %s: entries not in canonical (length, lex) order" path what
       | _ -> ());
       last_trace := Some trace;
-      let seed = str path what "seed" e in
+      let seed = string (field "seed" e) in
       if Int64.of_string_opt seed = None then
         die "%s: %s: seed %S is not an int64" path what seed;
-      if str path what "outcome" e = "" then die "%s: %s: empty outcome" path what;
-      let sg = str path what "signature" e in
+      if string (field "outcome" e) = "" then
+        die "%s: %s: empty outcome" path what;
+      let sg = string (field "signature" e) in
       if sg <> "" then begin
         let parts = String.split_on_char '|' sg in
         if List.length parts <> 4 || List.exists (fun p -> p = "") parts then
@@ -434,19 +363,17 @@ let check_fuzz path root =
             sg
       end)
     entries;
-  let coverage =
-    list_of path "coverage" (get path "payload" "coverage" payload)
-  in
+  let coverage = list (field "coverage" payload) in
   let last_point = ref "" in
   List.iteri
     (fun i c ->
       let what = Printf.sprintf "coverage[%d]" i in
-      let point = str path what "point" c in
+      let point = string (field "point" c) in
       if point = "" then die "%s: %s: empty point" path what;
       if i > 0 && point <= !last_point then
         die "%s: %s: coverage points not strictly sorted" path what;
       last_point := point;
-      let idx = num path what "entry" c in
+      let idx = number (field "entry" c) in
       if idx < 0.0 || idx >= float_of_int (List.length entries) then
         die "%s: %s: entry index %g out of range" path what idx)
     coverage;
@@ -466,21 +393,19 @@ let check_fuzz path root =
    tenant's sender saw is at least the longest stall and at most that
    stall plus one request interval on each side of it. *)
 let check_fleet path root =
-  let trials = num path "document" "trials" root in
+  let trials = number (field "trials" root) in
   if trials < 1.0 then die "%s: trials %g < 1" path trials;
-  if num path "document" "tenants" root < 1.0 then die "%s: tenants < 1" path;
-  if num path "document" "slo_ns" root <= 0.0 then die "%s: slo_ns <= 0" path;
-  let interval = num path "document" "request_interval_ns" root in
+  if number (field "tenants" root) < 1.0 then die "%s: tenants < 1" path;
+  if number (field "slo_ns" root) <= 0.0 then die "%s: slo_ns <= 0" path;
+  let interval = number (field "request_interval_ns" root) in
   if interval <= 0.0 then die "%s: request_interval_ns <= 0" path;
-  let mechs =
-    list_of path "mechanisms" (get path "document" "mechanisms" root)
-  in
+  let mechs = list (field "mechanisms" root) in
   if mechs = [] then die "%s: empty mechanisms array" path;
   let seen = ref [] in
   List.iteri
     (fun i m ->
       let what = Printf.sprintf "mechanisms[%d]" i in
-      let name = str path what "mechanism" m in
+      let name = string (field "mechanism" m) in
       if
         not
           (List.mem name [ "serial-full"; "serial-incremental" ])
@@ -488,7 +413,7 @@ let check_fleet path root =
       if List.mem name !seen then
         die "%s: %s: duplicate mechanism %S" path what name;
       seen := name :: !seen;
-      let f k = num path what k m in
+      let f k = number (field k m) in
       let requests = f "requests" in
       if requests < 1.0 then die "%s: %s: no requests" path what;
       if f "samples" <> requests then
@@ -524,25 +449,24 @@ let check_fleet path root =
 
 (* --- Dispatch -------------------------------------------------------- *)
 
+(* Accessor failures ({!Obs.Json.Invalid}: a missing member or a wrong
+   type) are reported against the file, like every other violation. *)
 let check_file path =
-  let contents = try read_file path with Sys_error e -> die "%s" e in
-  let root =
-    match Obs.Json.parse contents with
-    | Ok v -> v
-    | Error msg -> die "%s: invalid JSON: %s" path msg
-  in
-  match Obs.Json.member "traceEvents" root with
-  | Some v -> check_chrome path (list_of path "traceEvents" v)
-  | None -> (
-    match Option.bind (Obs.Json.member "schema" root) Obs.Json.to_string with
-    | Some "nlh-obs/1" -> check_metrics path root
-    | Some "nlh-triage/1" -> check_triage path root
-    | Some "nlh-postmortem/1" -> check_postmortem path root
-    | Some "nlh-checkpoint/1" -> check_checkpoint path root
-    | Some "nlh-fuzz/1" -> check_fuzz path root
-    | Some "nlh-fleet/1" -> check_fleet path root
-    | Some s -> die "%s: unknown schema %S" path s
-    | None -> die "%s: neither a Chrome trace nor a schema document" path)
+  match read_file path with
+  | Error e -> die "%s" e
+  | Ok root -> (
+    try
+      match (member "traceEvents" root, member "schema" root) with
+      | Some v, _ -> check_chrome path (list v)
+      | None, Some (String "nlh-obs/1") -> check_metrics path root
+      | None, Some (String "nlh-triage/1") -> check_triage path root
+      | None, Some (String "nlh-postmortem/1") -> check_postmortem path root
+      | None, Some (String "nlh-checkpoint/1") -> check_checkpoint path root
+      | None, Some (String "nlh-fuzz/1") -> check_fuzz path root
+      | None, Some (String "nlh-fleet/1") -> check_fleet path root
+      | None, Some (String s) -> die "%s: unknown schema %S" path s
+      | None, _ -> die "%s: neither a Chrome trace nor a schema document" path
+    with Invalid msg -> die "%s: %s" path msg)
 
 let () =
   if Array.length Sys.argv < 2 then die "usage: nlh_trace_check FILE.json...";

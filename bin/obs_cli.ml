@@ -118,7 +118,7 @@ let write_metrics ?meta path snapshot =
    special-case the happy path. *)
 let write_triage ?meta (triage : Obs.Postmortem.Triage.table) =
   if !triage_file <> "" then begin
-    Obs.Export.write_file !triage_file
+    Obs.Json.write_file !triage_file
       (Obs.Postmortem.Triage.to_json ?meta triage);
     Format.printf "triage: wrote %s (%d signature(s), %d failure(s))@."
       !triage_file

@@ -660,137 +660,78 @@ let fingerprint ~base_seed ~scenarios (cfg : config) =
    checkpoint must round-trip the full [cycle_stats], budget violations
    and latency samples included, or a resumed run would drift. *)
 let payload_of_totals (t : totals) =
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"totals\":{\"scenarios\":%d,\"survived\":%d,\"deaths\":%d,\
-        \"latent_scenarios\":%d,\"max_leaked_pages\":%d,\
-        \"budget_violations\":%d,\"per_cycle\":["
-       t.scenarios t.survived t.deaths t.latent_scenarios t.max_leaked_pages
-       t.budget_violations);
-  Array.iteri
-    (fun i (c : cycle_stats) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "[%d,%d,%d,%d,%d,%d,%d,%d,%d]" c.cs_entered c.cs_quiet
-           c.cs_recovered c.cs_latent c.cs_died c.cs_leaked_pages
-           c.cs_budget_violations c.cs_latency_sum c.cs_latency_samples))
-    t.per_cycle;
-  Buffer.add_string buf "],\"leaks\":";
-  Obs.Export.add_int_assoc buf (Sim.Stats.Counts.sorted t.leaks);
-  Buffer.add_string buf ",\"death_notes\":";
-  Obs.Export.add_int_assoc buf (Sim.Stats.Counts.sorted t.death_notes);
-  Buffer.add_string buf ",\"metrics\":";
-  Obs.Checkpoint.add_metrics buf t.metrics;
-  Buffer.add_string buf "}}";
-  Buffer.contents buf
+  let cycle (c : cycle_stats) =
+    Obs.Json.List
+      (List.map Obs.Json.of_int
+         [
+           c.cs_entered; c.cs_quiet; c.cs_recovered; c.cs_latent; c.cs_died;
+           c.cs_leaked_pages; c.cs_budget_violations; c.cs_latency_sum;
+           c.cs_latency_samples;
+         ])
+  in
+  Obs.Json.(
+    Obj
+      [
+        ( "totals",
+          Obj
+            [
+              ("scenarios", of_int t.scenarios);
+              ("survived", of_int t.survived);
+              ("deaths", of_int t.deaths);
+              ("latent_scenarios", of_int t.latent_scenarios);
+              ("max_leaked_pages", of_int t.max_leaked_pages);
+              ("budget_violations", of_int t.budget_violations);
+              ("per_cycle", List (Array.to_list (Array.map cycle t.per_cycle)));
+              ("leaks", of_int_map (Sim.Stats.Counts.sorted t.leaks));
+              ("death_notes", of_int_map (Sim.Stats.Counts.sorted t.death_notes));
+              ("metrics", Obj (Obs.Export.snapshot_fields t.metrics));
+            ] );
+      ])
 
 let totals_of_payload ?triage_seed_cap ~cycles (payload : Obs.Json.t) =
-  let ( let* ) = Result.bind in
-  let int k v =
-    match Obs.Json.member k v with
-    | Some x -> (
-      match Obs.Json.to_number x with
-      | Some f when Float.is_integer f -> Ok (int_of_float f)
-      | Some _ | None ->
-        Error (Printf.sprintf "payload: %S is not an integer" k))
-    | None -> Error (Printf.sprintf "payload: missing %S" k)
-  in
-  let int_assoc k v =
-    match Obs.Json.member k v with
-    | Some (Obs.Json.Obj fields) ->
-      List.fold_left
-        (fun acc (name, x) ->
-          let* acc = acc in
-          match Obs.Json.to_number x with
-          | Some f when Float.is_integer f -> Ok ((name, int_of_float f) :: acc)
-          | Some _ | None ->
-            Error (Printf.sprintf "payload: %S.%S is not an integer" k name))
-        (Ok []) fields
-    | _ -> Error (Printf.sprintf "payload: %S is not an object" k)
-  in
-  match Obs.Json.member "totals" payload with
-  | None -> Error "payload: missing \"totals\""
-  | Some tv ->
-    let* scenarios = int "scenarios" tv in
-    let* survived = int "survived" tv in
-    let* deaths = int "deaths" tv in
-    let* latent_scenarios = int "latent_scenarios" tv in
-    let* max_leaked_pages = int "max_leaked_pages" tv in
-    let* budget_violations = int "budget_violations" tv in
-    let* per_cycle =
-      match Obs.Json.member "per_cycle" tv with
-      | Some v -> (
-        match Obs.Json.to_list v with
-        | Some l ->
-          if List.length l <> cycles then
-            Error
-              (Printf.sprintf "payload: per_cycle has %d cycles, expected %d"
-                 (List.length l) cycles)
-          else
-            List.fold_left
-              (fun acc cv ->
-                let* acc = acc in
-                match Obs.Json.to_list cv with
-                | Some fields ->
-                  let* ints =
-                    List.fold_left
-                      (fun acc x ->
-                        let* acc = acc in
-                        match Obs.Json.to_number x with
-                        | Some f when Float.is_integer f ->
-                          Ok (int_of_float f :: acc)
-                        | Some _ | None ->
-                          Error "payload: non-integer per_cycle field")
-                      (Ok []) fields
-                  in
-                  (match List.rev ints with
-                  | [ en; qu; re; la; di; lp; bv; ls; lsam ] ->
-                    Ok
-                      ({
-                         cs_entered = en;
-                         cs_quiet = qu;
-                         cs_recovered = re;
-                         cs_latent = la;
-                         cs_died = di;
-                         cs_leaked_pages = lp;
-                         cs_budget_violations = bv;
-                         cs_latency_sum = ls;
-                         cs_latency_samples = lsam;
-                       }
-                      :: acc)
-                  | _ -> Error "payload: per_cycle entry is not 9 ints")
-                | None -> Error "payload: per_cycle entry is not an array")
-              (Ok []) l
-            |> Result.map List.rev
-        | None -> Error "payload: \"per_cycle\" is not an array")
-      | None -> Error "payload: missing \"per_cycle\""
-    in
-    let* leaks = int_assoc "leaks" tv in
-    let* death_notes = int_assoc "death_notes" tv in
-    let* metrics =
-      match Obs.Json.member "metrics" tv with
-      | Some m -> Obs.Checkpoint.metrics_of_json m
-      | None -> Error "payload: missing \"metrics\""
-    in
-    if scenarios <> survived + deaths then
-      Error "payload: scenarios <> survived + deaths"
-    else begin
-      let t = make_totals ?triage_seed_cap ~cycles () in
-      t.scenarios <- scenarios;
-      t.survived <- survived;
-      t.deaths <- deaths;
-      t.latent_scenarios <- latent_scenarios;
-      t.max_leaked_pages <- max_leaked_pages;
-      t.budget_violations <- budget_violations;
-      List.iteri (fun i c -> t.per_cycle.(i) <- c) per_cycle;
-      List.iter (fun (k, v) -> Sim.Stats.Counts.add ~by:v t.leaks k) leaks;
-      List.iter
-        (fun (k, v) -> Sim.Stats.Counts.add ~by:v t.death_notes k)
-        death_notes;
-      t.metrics <- metrics;
-      Ok t
-    end
+  let open Obs.Json in
+  try
+    let tv = field "totals" payload in
+    let i k = int (field k tv) in
+    let t = make_totals ?triage_seed_cap ~cycles () in
+    t.scenarios <- i "scenarios";
+    t.survived <- i "survived";
+    t.deaths <- i "deaths";
+    t.latent_scenarios <- i "latent_scenarios";
+    t.max_leaked_pages <- i "max_leaked_pages";
+    t.budget_violations <- i "budget_violations";
+    let per_cycle = list (field "per_cycle" tv) in
+    if List.length per_cycle <> cycles then
+      fail "per_cycle has %d cycles, expected %d" (List.length per_cycle) cycles;
+    List.iteri
+      (fun idx cv ->
+        match List.map int (list cv) with
+        | [ en; qu; re; la; di; lp; bv; ls; lsam ] ->
+          t.per_cycle.(idx) <-
+            {
+              cs_entered = en;
+              cs_quiet = qu;
+              cs_recovered = re;
+              cs_latent = la;
+              cs_died = di;
+              cs_leaked_pages = lp;
+              cs_budget_violations = bv;
+              cs_latency_sum = ls;
+              cs_latency_samples = lsam;
+            }
+        | _ -> fail "per_cycle entry is not 9 ints")
+      per_cycle;
+    List.iter
+      (fun (k, v) -> Sim.Stats.Counts.add ~by:v t.leaks k)
+      (int_map (field "leaks" tv));
+    List.iter
+      (fun (k, v) -> Sim.Stats.Counts.add ~by:v t.death_notes k)
+      (int_map (field "death_notes" tv));
+    t.metrics <- Obs.Checkpoint.metrics_of_json (field "metrics" tv);
+    if t.scenarios <> t.survived + t.deaths then
+      fail "scenarios <> survived + deaths";
+    Ok t
+  with Invalid msg -> Error ("payload: " ^ msg)
 
 (* Run [scenarios] endurance scenarios of [cfg], varying only the seed,
    optionally across OCaml 5 domains. Mirrors {!Inject.Campaign.run}:
@@ -1014,53 +955,53 @@ let pp fmt r =
 (* JSON export (BENCH_endurance.json)                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Hand-rolled like the bench records: schema [nlh-endurance/1]. *)
-let write_json oc ?(meta = []) r =
+(* Schema [nlh-endurance/1]: [meta] members first, then the totals and
+   the per-cycle survival curve. *)
+let write_json ?(meta = []) path r =
   let t = r.totals in
-  Printf.fprintf oc "{\n  \"schema\": \"nlh-endurance/1\",\n";
-  List.iter
-    (fun (k, v) ->
-      match v with
-      | `String s -> Printf.fprintf oc "  %S: %S,\n" k s
-      | `Int i -> Printf.fprintf oc "  %S: %d,\n" k i
-      | `Bool b -> Printf.fprintf oc "  %S: %b,\n" k b)
-    meta;
-  Printf.fprintf oc "  \"scenarios\": %d,\n  \"cycles\": %d,\n" t.scenarios
-    r.cfg.cycles;
-  Printf.fprintf oc "  \"jobs\": %d,\n  \"cores\": %d,\n" r.jobs
-    (Inject.Pool.default_jobs ());
-  Printf.fprintf oc "  \"seconds\": %.3f,\n" r.wall_seconds;
-  Printf.fprintf oc "  \"minor_words\": %.0f,\n" r.minor_words;
-  Printf.fprintf oc "  \"minor_words_per_scenario\": %.0f,\n"
-    (minor_words_per_scenario r);
-  Printf.fprintf oc
-    "  \"survived\": %d,\n  \"died\": %d,\n  \"latent_scenarios\": %d,\n"
-    t.survived t.deaths t.latent_scenarios;
-  Printf.fprintf oc "  \"max_leaked_pages_per_recovery\": %d,\n"
-    t.max_leaked_pages;
-  (match mean_leak_pages_per_recovery r with
-  | Some m -> Printf.fprintf oc "  \"mean_leaked_pages_per_recovery\": %.4f,\n" m
-  | None -> ());
-  (match r.cfg.leak_budget_pages with
-  | Some b -> Printf.fprintf oc "  \"leak_budget_pages\": %d,\n" b
-  | None -> ());
-  Printf.fprintf oc "  \"budget_violations\": %d,\n" t.budget_violations;
-  Printf.fprintf oc "  \"leaks_by_resource\": {";
-  List.iteri
-    (fun i (k, v) ->
-      Printf.fprintf oc "%s\n    %S: %d" (if i > 0 then "," else "") k v)
-    (Sim.Stats.Counts.sorted t.leaks);
-  Printf.fprintf oc "\n  },\n  \"curve\": [";
-  let curve = survival_curve r in
-  Array.iteri
-    (fun i (idx, survival, clean_rate) ->
-      let c = t.per_cycle.(idx) in
-      Printf.fprintf oc
-        "%s\n    { \"cycle\": %d, \"entered\": %d, \"quiet\": %d, \
-         \"recovered\": %d, \"latent\": %d, \"died\": %d, \"leaked_pages\": \
-         %d, \"survival\": %.4f, \"clean_rate\": %.4f }"
-        (if i > 0 then "," else "")
-        idx c.cs_entered c.cs_quiet c.cs_recovered c.cs_latent c.cs_died
-        c.cs_leaked_pages survival clean_rate)
-    curve;
-  Printf.fprintf oc "\n  ]\n}\n"
+  let opt key = function Some v -> [ (key, v) ] | None -> [] in
+  let curve =
+    Array.to_list
+      (Array.map
+         (fun (idx, survival, clean_rate) ->
+           let c = t.per_cycle.(idx) in
+           Obs.Json.(
+             Obj
+               [
+                 ("cycle", of_int idx);
+                 ("entered", of_int c.cs_entered);
+                 ("quiet", of_int c.cs_quiet);
+                 ("recovered", of_int c.cs_recovered);
+                 ("latent", of_int c.cs_latent);
+                 ("died", of_int c.cs_died);
+                 ("leaked_pages", of_int c.cs_leaked_pages);
+                 ("survival", Number survival);
+                 ("clean_rate", Number clean_rate);
+               ]))
+         (survival_curve r))
+  in
+  Obs.Json.write_file path
+    Obs.Json.(
+      Obj
+        ((("schema", String "nlh-endurance/1") :: meta)
+        @ [
+            ("scenarios", of_int t.scenarios);
+            ("cycles", of_int r.cfg.cycles);
+            ("jobs", of_int r.jobs);
+            ("cores", of_int (Inject.Pool.default_jobs ()));
+            ("seconds", Number r.wall_seconds);
+            ("minor_words", Number r.minor_words);
+            ("minor_words_per_scenario", Number (minor_words_per_scenario r));
+            ("survived", of_int t.survived);
+            ("died", of_int t.deaths);
+            ("latent_scenarios", of_int t.latent_scenarios);
+            ("max_leaked_pages_per_recovery", of_int t.max_leaked_pages);
+          ]
+        @ opt "mean_leaked_pages_per_recovery"
+            (Option.map (fun m -> Number m) (mean_leak_pages_per_recovery r))
+        @ opt "leak_budget_pages" (Option.map of_int r.cfg.leak_budget_pages)
+        @ [
+            ("budget_violations", of_int t.budget_violations);
+            ("leaks_by_resource", of_int_map (Sim.Stats.Counts.sorted t.leaks));
+            ("curve", List curve);
+          ]))

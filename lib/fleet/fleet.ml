@@ -292,31 +292,37 @@ let pp fmt r =
 
 (* --- nlh-fleet/1 export -------------------------------------------- *)
 
-let json_entry r =
-  Printf.sprintf
-    "    { \"mechanism\": %S, \"requests\": %d, \"samples\": %d, \"stalled\": \
-     %d, \"slo_violations\": %d, \"tenants_failed\": %d, \"net_lost\": %d, \
-     \"recovery_ns_mean\": %d, \"recovery_ns_max\": %d, \"max_gap_ns\": %d, \
-     \"request_p50_ns\": %d, \"request_p99_ns\": %d, \"request_p999_ns\": %d, \
-     \"scan_incremental\": %d, \"scan_full\": %d }"
-    (mechanism_name r.mech) (requests r) (request_samples r)
-    (requests_stalled r) (slo_violations r) (tenants_failed r) (net_lost r)
-    (recovery_mean_ns r) (recovery_max_ns r) (max_gap_ns r)
-    (request_quantile r 0.50)
-    (request_quantile r 0.99)
-    (request_quantile r 0.999)
-    (scan_incremental r) (scan_full r)
-
-let write_json oc (cfg : config) (results : result list) =
-  Printf.fprintf oc
-    "{\n\
-    \  \"schema\": \"nlh-fleet/1\",\n\
-    \  \"tenants\": %d,\n\
-    \  \"trials\": %d,\n\
-    \  \"victims\": %d,\n\
-    \  \"request_interval_ns\": %d,\n\
-    \  \"slo_ns\": %d,\n\
-    \  \"mechanisms\": [\n%s\n  ]\n\
-     }\n"
-    cfg.tenants cfg.trials cfg.victims cfg.request_interval cfg.slo
-    (String.concat ",\n" (List.map json_entry results))
+let write_json path (cfg : config) (results : result list) =
+  let entry r =
+    Obs.Json.(
+      Obj
+        [
+          ("mechanism", String (mechanism_name r.mech));
+          ("requests", of_int (requests r));
+          ("samples", of_int (request_samples r));
+          ("stalled", of_int (requests_stalled r));
+          ("slo_violations", of_int (slo_violations r));
+          ("tenants_failed", of_int (tenants_failed r));
+          ("net_lost", of_int (net_lost r));
+          ("recovery_ns_mean", of_int (recovery_mean_ns r));
+          ("recovery_ns_max", of_int (recovery_max_ns r));
+          ("max_gap_ns", of_int (max_gap_ns r));
+          ("request_p50_ns", of_int (request_quantile r 0.50));
+          ("request_p99_ns", of_int (request_quantile r 0.99));
+          ("request_p999_ns", of_int (request_quantile r 0.999));
+          ("scan_incremental", of_int (scan_incremental r));
+          ("scan_full", of_int (scan_full r));
+        ])
+  in
+  Obs.Json.write_file path
+    Obs.Json.(
+      Obj
+        [
+          ("schema", String "nlh-fleet/1");
+          ("tenants", of_int cfg.tenants);
+          ("trials", of_int cfg.trials);
+          ("victims", of_int cfg.victims);
+          ("request_interval_ns", of_int cfg.request_interval);
+          ("slo_ns", of_int cfg.slo);
+          ("mechanisms", List (List.map entry results));
+        ])

@@ -74,101 +74,85 @@ let signatures t =
 (* Serialization (the "entries"/"coverage" fields of a fuzz payload)    *)
 (* ------------------------------------------------------------------ *)
 
-let add_trace buf trace =
-  Buffer.add_char buf '[';
-  List.iteri
-    (fun i c ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (string_of_int c))
-    trace;
-  Buffer.add_char buf ']'
-
 (* Entries as a canonical array; coverage as sorted (point, entry-index)
-   pairs into it. Seeds are strings: the JSON parser reads numbers as
+   pairs into it. Seeds are strings: the JSON reader reads numbers as
    floats, and int64 must round-trip exactly. *)
-let add_payload buf t =
+let payload_fields t =
   let ents = entries t in
   let index =
     let h = Hashtbl.create (List.length ents) in
     List.iteri (fun i e -> Hashtbl.replace h e.en_trace i) ents;
     h
   in
-  Buffer.add_string buf "\"entries\":[";
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf "\n{\"trace\":";
-      add_trace buf e.en_trace;
-      Buffer.add_string buf ",\"seed\":";
-      Obs.Json.escape_to buf (Printf.sprintf "%Ld" e.en_seed);
-      Buffer.add_string buf ",\"outcome\":";
-      Obs.Json.escape_to buf e.en_outcome;
-      Buffer.add_string buf ",\"signature\":";
-      Obs.Json.escape_to buf e.en_signature;
-      Buffer.add_char buf '}')
-    ents;
-  Buffer.add_string buf "],\"coverage\":[";
-  List.iteri
-    (fun i point ->
-      if i > 0 then Buffer.add_char buf ',';
-      let e = Hashtbl.find t.tbl point in
-      Buffer.add_string buf "\n{\"point\":";
-      Obs.Json.escape_to buf point;
-      Buffer.add_string buf
-        (Printf.sprintf ",\"entry\":%d}" (Hashtbl.find index e.en_trace)))
-    (coverage t);
-  Buffer.add_char buf ']'
+  Obs.Json.
+    [
+      ( "entries",
+        List
+          (List.map
+             (fun e ->
+               Obj
+                 [
+                   ("trace", List (List.map of_int e.en_trace));
+                   ("seed", String (Int64.to_string e.en_seed));
+                   ("outcome", String e.en_outcome);
+                   ("signature", String e.en_signature);
+                 ])
+             ents) );
+      ( "coverage",
+        List
+          (List.map
+             (fun point ->
+               let e = Hashtbl.find t.tbl point in
+               Obj
+                 [
+                   ("point", String point);
+                   ("entry", of_int (Hashtbl.find index e.en_trace));
+                 ])
+             (coverage t)) );
+    ]
 
-(* Parser: raises {!Obs.Checkpoint.Bad} like the envelope helpers it is
-   built from; callers convert to [Error] at the edge. *)
-let fail fmt = Obs.Checkpoint.fail fmt
-
+(* Reader: raises {!Obs.Json.Invalid} like the accessors it is built
+   from; callers convert to [Error] at the edge. *)
 let entry_of_json v =
-  let trace =
-    Obs.Checkpoint.int_list_of "entry.trace"
-      (Obs.Checkpoint.get "entry" "trace" v)
-  in
+  let open Obs.Json in
+  let trace = List.map int (list (field "trace" v)) in
   List.iter
     (fun c ->
       if c < 0 || c >= Input.op_space then
         fail "entry.trace: op code %d outside [0, 2^%d)" c Input.op_bits)
     trace;
-  let seed_s = Obs.Checkpoint.str "entry" "seed" v in
+  let seed_s = string (field "seed" v) in
   let seed =
     match Int64.of_string_opt seed_s with
     | Some s -> s
     | None -> fail "entry.seed %S is not an int64" seed_s
   in
-  let outcome = Obs.Checkpoint.str "entry" "outcome" v in
+  let outcome = string (field "outcome" v) in
   if outcome = "" then fail "entry.outcome is empty";
   {
     en_trace = trace;
     en_seed = seed;
     en_outcome = outcome;
-    en_signature = Obs.Checkpoint.str "entry" "signature" v;
+    en_signature = string (field "signature" v);
   }
 
 let of_json payload =
+  let open Obs.Json in
   let ents =
-    match Obs.Json.to_list (Obs.Checkpoint.get "payload" "entries" payload) with
-    | Some l -> Array.of_list (List.map entry_of_json l)
-    | None -> fail "\"entries\" is not an array"
+    Array.of_list (List.map entry_of_json (list (field "entries" payload)))
   in
   let t = create () in
-  (match Obs.Json.to_list (Obs.Checkpoint.get "payload" "coverage" payload) with
-  | None -> fail "\"coverage\" is not an array"
-  | Some l ->
-    let last = ref "" in
-    List.iter
-      (fun v ->
-        let point = Obs.Checkpoint.str "coverage" "point" v in
-        if point = "" then fail "empty coverage point";
-        if !last <> "" && String.compare !last point >= 0 then
-          fail "coverage points not sorted/unique at %S" point;
-        last := point;
-        let i = Obs.Checkpoint.int_exn "coverage" "entry" v in
-        if i < 0 || i >= Array.length ents then
-          fail "coverage entry index %d outside [0, %d)" i (Array.length ents);
-        Hashtbl.replace t.tbl point ents.(i))
-      l);
+  let last = ref "" in
+  List.iter
+    (fun v ->
+      let point = string (field "point" v) in
+      if point = "" then fail "empty coverage point";
+      if !last <> "" && String.compare !last point >= 0 then
+        fail "coverage points not sorted/unique at %S" point;
+      last := point;
+      let i = int (field "entry" v) in
+      if i < 0 || i >= Array.length ents then
+        fail "coverage entry index %d outside [0, %d)" i (Array.length ents);
+      Hashtbl.replace t.tbl point ents.(i))
+    (list (field "coverage" payload));
   t

@@ -102,17 +102,16 @@ let create cfg =
 (* ------------------------------------------------------------------ *)
 
 let payload_of t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"base_seed\":";
-  Obs.Json.escape_to buf (Printf.sprintf "%Ld" t.s_cfg.f_base_seed);
-  Buffer.add_string buf ",\"rng\":";
-  Obs.Json.escape_to buf (Printf.sprintf "%Ld" (Sim.Rng.save t.s_rng));
-  Buffer.add_string buf
-    (Printf.sprintf ",\"evaluated\":%d,\"kept\":%d,\"dud\":%d," t.s_evaluated
-       t.s_kept t.s_dud);
-  Corpus.add_payload buf t.s_corpus;
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  Obs.Json.(
+    Obj
+      ([
+         ("base_seed", String (Int64.to_string t.s_cfg.f_base_seed));
+         ("rng", String (Int64.to_string (Sim.Rng.save t.s_rng)));
+         ("evaluated", of_int t.s_evaluated);
+         ("kept", of_int t.s_kept);
+         ("dud", of_int t.s_dud);
+       ]
+      @ Corpus.payload_fields t.s_corpus))
 
 let header_of t =
   let rounds = n_rounds t.s_cfg in
@@ -155,15 +154,16 @@ let resume_from cfg path =
       h.Obs.Checkpoint.done_chunks;
     let t = create cfg in
     (try
-       let rng_s = Obs.Checkpoint.str "payload" "rng" payload in
+       let open Obs.Json in
+       let rng_s = string (field "rng" payload) in
        (match Int64.of_string_opt rng_s with
        | Some st -> Sim.Rng.reseed t.s_rng st
-       | None -> Obs.Checkpoint.fail "payload.rng %S is not an int64" rng_s);
-       t.s_evaluated <- Obs.Checkpoint.int_exn "payload" "evaluated" payload;
-       t.s_kept <- Obs.Checkpoint.int_exn "payload" "kept" payload;
-       t.s_dud <- Obs.Checkpoint.int_exn "payload" "dud" payload;
+       | None -> fail "payload.rng %S is not an int64" rng_s);
+       t.s_evaluated <- int (field "evaluated" payload);
+       t.s_kept <- int (field "kept" payload);
+       t.s_dud <- int (field "dud" payload);
        Corpus.merge_into ~into:t.s_corpus (Corpus.of_json payload)
-     with Obs.Checkpoint.Bad msg ->
+     with Obs.Json.Invalid msg ->
        invalid_arg (Printf.sprintf "Fuzz: cannot resume from %s: %s" path msg));
     t.s_rounds <- done_rounds;
     t

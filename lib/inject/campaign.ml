@@ -255,81 +255,56 @@ let fingerprint ~base_seed ~n (cfg : Run.config) =
 (* The checkpoint payload is the merged aggregate minus triage (the
    checkpointed path refuses [postmortems]; exemplar bundles are far too
    heavy to rewrite on every chunk). All fields are ints, notes are
-   key-sorted and metrics name-sorted, so serialization is canonical:
-   equal aggregates produce byte-identical payloads. *)
+   key-sorted and metrics name-sorted, so the value is canonical: equal
+   aggregates produce byte-identical payloads. *)
 let payload_of_totals ~fanout (t : totals) =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"fanout\":%d,\"totals\":{\"runs\":%d,\"non_manifested\":%d,\
-        \"sdc\":%d,\"detected\":%d,\"successes\":%d,\"no_vmf\":%d,\
-        \"recovered\":%d,\"latency_sum\":%d,\"latency_samples\":%d,\
-        \"notes\":"
-       fanout t.runs t.non_manifested t.sdc t.detected t.successes t.no_vmf
-       t.recovered t.latency_sum t.latency_samples);
-  Obs.Export.add_int_assoc buf (failure_notes t);
-  Buffer.add_string buf ",\"metrics\":";
-  Obs.Checkpoint.add_metrics buf t.metrics;
-  Buffer.add_string buf "}}";
-  Buffer.contents buf
+  Obs.Json.(
+    Obj
+      [
+        ("fanout", of_int fanout);
+        ( "totals",
+          Obj
+            [
+              ("runs", of_int t.runs);
+              ("non_manifested", of_int t.non_manifested);
+              ("sdc", of_int t.sdc);
+              ("detected", of_int t.detected);
+              ("successes", of_int t.successes);
+              ("no_vmf", of_int t.no_vmf);
+              ("recovered", of_int t.recovered);
+              ("latency_sum", of_int t.latency_sum);
+              ("latency_samples", of_int t.latency_samples);
+              ("notes", of_int_map (failure_notes t));
+              ("metrics", Obj (Obs.Export.snapshot_fields t.metrics));
+            ] );
+      ])
 
-(* Parse a payload back into [(fanout, totals)]. Exposed (along with
+(* Read a payload back into [(fanout, totals)]. Exposed (along with
    [payload_of_totals]) for the round-trip tests. *)
 let totals_of_payload ?triage_seed_cap (payload : Obs.Json.t) =
-  let int k v =
-    match Obs.Json.(to_number (Option.value ~default:Null (member k v))) with
-    | Some f when Float.is_integer f -> Ok (int_of_float f)
-    | Some _ | None -> Error (Printf.sprintf "payload: %S is not an integer" k)
-  in
-  let ( let* ) = Result.bind in
-  let* fanout = int "fanout" payload in
-  match Obs.Json.member "totals" payload with
-  | None -> Error "payload: missing \"totals\""
-  | Some tv ->
-    let* runs = int "runs" tv in
-    let* non_manifested = int "non_manifested" tv in
-    let* sdc = int "sdc" tv in
-    let* detected = int "detected" tv in
-    let* successes = int "successes" tv in
-    let* no_vmf = int "no_vmf" tv in
-    let* recovered = int "recovered" tv in
-    let* latency_sum = int "latency_sum" tv in
-    let* latency_samples = int "latency_samples" tv in
-    let* notes =
-      match Obs.Json.member "notes" tv with
-      | Some (Obs.Json.Obj fields) ->
-        List.fold_left
-          (fun acc (k, v) ->
-            let* acc = acc in
-            match Obs.Json.to_number v with
-            | Some f when Float.is_integer f -> Ok ((k, int_of_float f) :: acc)
-            | Some _ | None ->
-              Error (Printf.sprintf "payload: note %S is not an integer" k))
-          (Ok []) fields
-      | _ -> Error "payload: \"notes\" is not an object"
-    in
-    let* metrics =
-      match Obs.Json.member "metrics" tv with
-      | Some m -> Obs.Checkpoint.metrics_of_json m
-      | None -> Error "payload: missing \"metrics\""
-    in
-    if runs <> non_manifested + sdc + detected then
-      Error "payload: runs <> non_manifested + sdc + detected"
-    else begin
-      let t = make_totals ?triage_seed_cap () in
-      t.runs <- runs;
-      t.non_manifested <- non_manifested;
-      t.sdc <- sdc;
-      t.detected <- detected;
-      t.successes <- successes;
-      t.no_vmf <- no_vmf;
-      t.recovered <- recovered;
-      t.latency_sum <- latency_sum;
-      t.latency_samples <- latency_samples;
-      List.iter (fun (k, v) -> Sim.Stats.Counts.add ~by:v t.notes k) notes;
-      t.metrics <- metrics;
-      Ok (fanout, t)
-    end
+  let open Obs.Json in
+  try
+    let fanout = int (field "fanout" payload) in
+    let tv = field "totals" payload in
+    let i k = int (field k tv) in
+    let t = make_totals ?triage_seed_cap () in
+    t.runs <- i "runs";
+    t.non_manifested <- i "non_manifested";
+    t.sdc <- i "sdc";
+    t.detected <- i "detected";
+    t.successes <- i "successes";
+    t.no_vmf <- i "no_vmf";
+    t.recovered <- i "recovered";
+    t.latency_sum <- i "latency_sum";
+    t.latency_samples <- i "latency_samples";
+    List.iter
+      (fun (k, v) -> Sim.Stats.Counts.add ~by:v t.notes k)
+      (int_map (field "notes" tv));
+    t.metrics <- Obs.Checkpoint.metrics_of_json (field "metrics" tv);
+    if t.runs <> t.non_manifested + t.sdc + t.detected then
+      fail "runs <> non_manifested + sdc + detected";
+    Ok (fanout, t)
+  with Invalid msg -> Error ("payload: " ^ msg)
 
 (* Run [n] injections of [cfg], varying only the seed. [jobs > 1]
    distributes the seed range over that many domains through

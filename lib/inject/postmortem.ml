@@ -5,7 +5,9 @@
     nothing here runs on good outcomes).
 
     The signature axes:
-    - fault kind: the injected {!Fault.t} ("failstop" / "register" / "code")
+    - fault kind: the injected fault's {!Fault.name} ("Failstop",
+      "Register", "Code" or "Data"), e.g. the first axis of
+      [Failstop|failstop|hv_died|none]
     - target structure: the first structure the fault corrupted
       ([Run.state.first_target]; "failstop" for pure crashes)
     - death cause: canonicalized from the classification

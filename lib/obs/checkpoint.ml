@@ -2,18 +2,19 @@
 
     A checkpoint records the progress of a chunked campaign: which chunks
     of the work range have been fully aggregated (a completed-chunk
-    bitmap), the merged aggregate so far (an opaque JSON [payload] owned
-    by the campaign kind), and enough configuration identity (the
+    bitmap), the merged aggregate so far (an opaque {!Json.t} [payload]
+    owned by the campaign kind), and enough configuration identity (the
     [fingerprint]) that a resume can refuse a checkpoint written for a
     different campaign. The file is rewritten atomically (tmp + rename),
     so a kill mid-write leaves the previous consistent checkpoint in
     place.
 
     The envelope is deliberately generic -- [lib/obs] knows nothing about
-    injection campaigns. {!Inject.Campaign} and {!Endure} serialize their
-    own aggregates into [payload] and parse them back on resume; the
-    helpers at the bottom round-trip the one aggregate component they
-    share, a {!Metrics.snapshot}. *)
+    injection campaigns. {!Inject.Campaign} and {!Endure} build their own
+    aggregates into [payload] and read them back on resume;
+    {!metrics_of_json} at the bottom reads back the one aggregate
+    component they share, a {!Metrics.snapshot} written with
+    {!Export.snapshot_fields}. *)
 
 let schema = "nlh-checkpoint/1"
 
@@ -41,198 +42,97 @@ let complete h = done_count h = h.n_chunks
 (* Writer                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* [payload] must already be a serialized JSON object. The done bitmap is
-   written as the ascending list of completed chunk indices: sparse early
-   in a campaign, and self-validating (the parser rejects out-of-order or
-   duplicate indices). *)
-let to_string ?(schema = schema) h ~payload =
-  let buf = Buffer.create (256 + String.length payload) in
-  Buffer.add_string buf "{\"schema\":";
-  Json.escape_to buf schema;
-  Buffer.add_string buf ",\"kind\":";
-  Json.escape_to buf h.kind;
-  Buffer.add_string buf ",\"fingerprint\":";
-  Json.escape_to buf h.fingerprint;
-  Buffer.add_string buf
-    (Printf.sprintf ",\"chunk\":%d,\"n_chunks\":%d,\"done\":[" h.chunk
-       h.n_chunks);
-  let first = ref true in
-  Array.iteri
-    (fun i d ->
-      if d then begin
-        if not !first then Buffer.add_char buf ',';
-        first := false;
-        Buffer.add_string buf (string_of_int i)
-      end)
-    h.done_chunks;
-  Buffer.add_string buf "],\n\"payload\":";
-  Buffer.add_string buf payload;
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
+(* The done bitmap is written as the ascending list of completed chunk
+   indices: sparse early in a campaign, and self-validating (the reader
+   rejects out-of-order or duplicate indices). *)
+let to_json ?(schema = schema) h ~payload =
+  let done_indices =
+    List.filter (fun i -> h.done_chunks.(i)) (List.init h.n_chunks Fun.id)
+  in
+  Json.(
+    Obj
+      [
+        ("schema", String schema);
+        ("kind", String h.kind);
+        ("fingerprint", String h.fingerprint);
+        ("chunk", of_int h.chunk);
+        ("n_chunks", of_int h.n_chunks);
+        ("done", List (List.map of_int done_indices));
+        ("payload", payload);
+      ])
 
 let write ?schema ~path h ~payload =
   let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string ?schema h ~payload));
+  Json.write_file tmp (to_json ?schema h ~payload);
   Sys.rename tmp path
 
 (* ------------------------------------------------------------------ *)
-(* Parser / validator                                                  *)
+(* Reader / validator                                                  *)
 (* ------------------------------------------------------------------ *)
 
-exception Bad of string
-
-let fail fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt
-
-let get what key v =
-  match Json.member key v with
-  | Some x -> x
-  | None -> fail "%s: missing %S" what key
-
-let str what key v =
-  match Json.to_string (get what key v) with
-  | Some s -> s
-  | None -> fail "%s: %S is not a string" what key
-
-let int_exn what key v =
-  match Json.to_number (get what key v) with
-  | Some f when Float.is_integer f -> int_of_float f
-  | Some _ | None -> fail "%s: %S is not an integer" what key
-
 let of_json ?(schema = schema) root =
-  (match Json.member "schema" root with
-  | Some (Json.String s) when s = schema -> ()
-  | Some (Json.String s) -> fail "schema %S is not %S" s schema
+  let open Json in
+  (match member "schema" root with
+  | Some (String s) when s = schema -> ()
+  | Some (String s) -> fail "schema %S is not %S" s schema
   | _ -> fail "missing schema");
-  let kind = str "checkpoint" "kind" root in
-  let fingerprint = str "checkpoint" "fingerprint" root in
+  let kind = string (field "kind" root) in
+  let fingerprint = string (field "fingerprint" root) in
   if fingerprint = "" then fail "empty fingerprint";
-  let chunk = int_exn "checkpoint" "chunk" root in
+  let chunk = int (field "chunk" root) in
   if chunk < 1 then fail "chunk %d < 1" chunk;
-  let n_chunks = int_exn "checkpoint" "n_chunks" root in
+  let n_chunks = int (field "n_chunks" root) in
   if n_chunks < 0 then fail "n_chunks %d < 0" n_chunks;
   let done_chunks = Array.make n_chunks false in
-  let indices =
-    match Json.to_list (get "checkpoint" "done" root) with
-    | Some l -> l
-    | None -> fail "\"done\" is not an array"
-  in
   let last = ref (-1) in
   List.iter
     (fun v ->
-      match Json.to_number v with
-      | Some f when Float.is_integer f ->
-        let i = int_of_float f in
-        if i < 0 || i >= n_chunks then
-          fail "done index %d outside [0, %d)" i n_chunks;
-        if i <= !last then fail "done indices not strictly ascending";
-        last := i;
-        done_chunks.(i) <- true
-      | Some _ | None -> fail "non-integer done index")
-    indices;
-  let payload =
-    match get "checkpoint" "payload" root with
-    | Json.Obj _ as p -> p
-    | _ -> fail "\"payload\" is not an object"
-  in
+      let i = int v in
+      if i < 0 || i >= n_chunks then
+        fail "done index %d outside [0, %d)" i n_chunks;
+      if i <= !last then fail "done indices not strictly ascending";
+      last := i;
+      done_chunks.(i) <- true)
+    (list (field "done" root));
+  let payload = field "payload" root in
+  ignore (obj payload);
   ({ kind; fingerprint; chunk; n_chunks; done_chunks }, payload)
 
 let read ?schema path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error e -> Error e
-  | contents -> (
-    match Json.parse contents with
-    | Error msg -> Error ("invalid JSON: " ^ msg)
-    | Ok root -> ( try Ok (of_json ?schema root) with Bad msg -> Error msg))
+  match Json.read_file path with
+  | Error e -> Error e
+  | Ok root -> ( try Ok (of_json ?schema root) with Json.Invalid msg -> Error msg)
 
 (* ------------------------------------------------------------------ *)
 (* Metrics-snapshot round trip                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* The nlh-obs/1 body shape (counters/gauges/histograms), minus the
-   derived quantile fields -- a checkpoint stores raw aggregates only, so
-   the round trip is exact. *)
-let add_metrics buf (s : Metrics.snapshot) =
-  Buffer.add_string buf "{\"counters\":";
-  Export.add_int_assoc buf s.Metrics.counters;
-  Buffer.add_string buf ",\"gauges\":";
-  Export.add_int_assoc buf s.Metrics.gauges;
-  Buffer.add_string buf ",\"histograms\":{";
-  List.iteri
-    (fun i (name, h) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Json.escape_to buf name;
-      Buffer.add_string buf ":{\"bounds\":";
-      Export.add_int_list buf h.Metrics.h_bounds;
-      Buffer.add_string buf ",\"counts\":";
-      Export.add_int_list buf h.Metrics.h_counts;
-      Buffer.add_string buf
-        (Printf.sprintf ",\"sum\":%d,\"samples\":%d}" h.Metrics.h_sum
-           h.Metrics.h_samples))
-    s.Metrics.histograms;
-  Buffer.add_string buf "}}"
-
-let int_assoc_of what v =
-  match v with
-  | Json.Obj fields ->
-    List.map
-      (fun (k, x) ->
-        match Json.to_number x with
-        | Some f when Float.is_integer f -> (k, int_of_float f)
-        | Some _ | None -> fail "%s: %S is not an integer" what k)
-      fields
-  | _ -> fail "%s is not an object" what
-
-let int_list_of what v =
-  match Json.to_list v with
-  | Some l ->
-    List.map
-      (fun x ->
-        match Json.to_number x with
-        | Some f when Float.is_integer f -> int_of_float f
-        | Some _ | None -> fail "%s: non-integer element" what)
-      l
-  | None -> fail "%s is not an array" what
-
 let by_name l = List.sort (fun (a, _) (b, _) -> String.compare a b) l
 
-(* Raises [Bad]: callers sit inside an [of_json]-style validation and
-   convert to [Error] at the edge (see {!metrics_of_json}). *)
-let metrics_of_json_exn v : Metrics.snapshot =
-  let counters = int_assoc_of "counters" (get "metrics" "counters" v) in
-  let gauges = int_assoc_of "gauges" (get "metrics" "gauges" v) in
+(* Reads back {!Export.snapshot_fields} without quantiles, so the round
+   trip is exact. Raises {!Json.Invalid}: callers sit inside a payload
+   reader and convert to [Error] at its edge. *)
+let metrics_of_json v : Metrics.snapshot =
+  let open Json in
+  let ints v = List.map int (list v) in
   let histograms =
-    match get "metrics" "histograms" v with
-    | Json.Obj fields ->
-      List.map
-        (fun (name, h) ->
-          let what = Printf.sprintf "histograms[%S]" name in
-          let bounds = int_list_of (what ^ ".bounds") (get what "bounds" h) in
-          let counts = int_list_of (what ^ ".counts") (get what "counts" h) in
-          if List.length counts <> List.length bounds + 1 then
-            fail "%s: counts length is not bounds+1" what;
-          ( name,
-            {
-              Metrics.h_bounds = bounds;
-              h_counts = counts;
-              h_sum = int_exn what "sum" h;
-              h_samples = int_exn what "samples" h;
-            } ))
-        fields
-    | _ -> fail "histograms is not an object"
+    List.map
+      (fun (name, h) ->
+        let bounds = ints (field "bounds" h) in
+        let counts = ints (field "counts" h) in
+        if List.length counts <> List.length bounds + 1 then
+          fail "histograms[%S]: counts length is not bounds+1" name;
+        ( name,
+          {
+            Metrics.h_bounds = bounds;
+            h_counts = counts;
+            h_sum = int (field "sum" h);
+            h_samples = int (field "samples" h);
+          } ))
+      (obj (field "histograms" v))
   in
   {
-    Metrics.counters = by_name counters;
-    gauges = by_name gauges;
+    Metrics.counters = by_name (int_map (field "counters" v));
+    gauges = by_name (int_map (field "gauges" v));
     histograms = by_name histograms;
   }
-
-let metrics_of_json v =
-  try Ok (metrics_of_json_exn v) with Bad msg -> Error msg

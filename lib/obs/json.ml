@@ -1,7 +1,11 @@
-(** Minimal JSON support: a hand-rolled value type, string escaping for
-    the exporters, and a small recursive-descent parser used by the
-    trace-export smoke test and the golden-file tests to verify that
-    exported artifacts are well-formed without adding a dependency. *)
+(** The one JSON codec of the repo: a value type, the printer every
+    artifact is written with, a strict RFC 8259 parser, and the accessors
+    every reader uses. Nothing else in the tree knows JSON syntax.
+
+    Writers build a {!t} and hand it to {!to_string} / {!write_file}.
+    Readers get a {!t} from {!parse} / {!read_file} and walk it with
+    {!field}, {!string}, {!int}, ...; those raise {!Invalid}, which each
+    reader turns into [Error] at its edge. *)
 
 type t =
   | Null
@@ -11,37 +15,102 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-(* --- Escaping (exporter side) -------------------------------------- *)
+exception Invalid of string
 
-let escape_to buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
+let fail fmt = Printf.ksprintf (fun m -> raise (Invalid m)) fmt
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  escape_to buf s;
+(* --- Printer --------------------------------------------------------- *)
+
+(* Integers up to 2^53 are exact in a double. *)
+let max_exact = 9007199254740992.0
+
+(* Integral numbers print as integers; any other finite number as the
+   shortest %g rendering that parses back to the same double. *)
+let number_string f =
+  if not (Float.is_finite f) then
+    invalid_arg (Printf.sprintf "Json.to_string: non-finite number %h" f);
+  if Float.is_integer f && Float.abs f <= max_exact then
+    Printf.sprintf "%.0f" f
+  else
+    let shortest p =
+      let s = Printf.sprintf "%.*g" p f in
+      if p = 17 || float_of_string s = f then Some s else None
+    in
+    Option.get (List.find_map shortest [ 15; 16; 17 ])
+
+let scalar = function List (_ :: _) | Obj (_ :: _) -> false | _ -> true
+
+(* One fixed layout: a nested container whose elements are all scalars
+   prints on one line; the top-level value and every other container put
+   each element on its own line, indented two spaces per level. *)
+let to_string v =
+  let buf = Buffer.create 1024 in
+  let escape_to s =
+    Buffer.add_char buf '"';
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.add_char buf '"'
+  in
+  let rec value indent = function
+    | Null -> Buffer.add_string buf "null"
+    | Bool b -> Buffer.add_string buf (string_of_bool b)
+    | Number f -> Buffer.add_string buf (number_string f)
+    | String s -> escape_to s
+    | List l -> seq indent '[' ']' (indent > 0 && List.for_all scalar l) value l
+    | Obj fields ->
+      seq indent '{' '}'
+        (indent > 0 && List.for_all (fun (_, x) -> scalar x) fields)
+        (fun indent (k, x) ->
+          escape_to k;
+          Buffer.add_string buf ": ";
+          value indent x)
+        fields
+  and seq :
+        'a. int -> char -> char -> bool -> (int -> 'a -> unit) -> 'a list -> unit
+      =
+   fun indent opening closing flat item l ->
+    let inner = indent + 2 in
+    Buffer.add_char buf opening;
+    List.iteri
+      (fun i x ->
+        if i > 0 then Buffer.add_char buf ',';
+        if not flat then begin
+          Buffer.add_char buf '\n';
+          Buffer.add_string buf (String.make inner ' ')
+        end
+        else if i > 0 then Buffer.add_char buf ' ';
+        item inner x)
+      l;
+    if not flat then begin
+      Buffer.add_char buf '\n';
+      Buffer.add_string buf (String.make indent ' ')
+    end;
+    Buffer.add_char buf closing
+  in
+  value 0 v;
+  Buffer.add_char buf '\n';
   Buffer.contents buf
 
-(* --- Parser (validator side) --------------------------------------- *)
+let write_file path v =
+  let s = to_string v in
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
 
-exception Parse_error of string
+(* --- Parser ---------------------------------------------------------- *)
 
 let parse_exn s =
   let n = String.length s in
   let pos = ref 0 in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos)) in
+  let fail msg = fail "%s at offset %d" msg !pos in
   let peek () = if !pos < n then Some s.[!pos] else None in
   let advance () = incr pos in
   let rec skip_ws () =
@@ -107,20 +176,31 @@ let parse_exn s =
     in
     go ()
   in
+  (* RFC 8259 grammar: optional minus; 0 or a digit run with no leading
+     zero; optional fraction of one or more digits; optional exponent of
+     one or more digits. *)
   let parse_number () =
     let start = !pos in
-    let is_num_char c =
-      match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
+    let digits what =
+      let first = !pos in
+      while match peek () with Some '0' .. '9' -> true | _ -> false do
+        advance ()
+      done;
+      if !pos = first then fail ("expected a digit " ^ what)
     in
-    while !pos < n && is_num_char s.[!pos] do
-      advance ()
-    done;
-    let lit = String.sub s start (!pos - start) in
-    match float_of_string_opt lit with
-    | Some f -> Number f
-    | None -> fail (Printf.sprintf "bad number %S" lit)
+    if peek () = Some '-' then advance ();
+    if peek () = Some '0' then advance () else digits "in number";
+    if peek () = Some '.' then begin
+      advance ();
+      digits "after ."
+    end;
+    (match peek () with
+    | Some ('e' | 'E') ->
+      advance ();
+      (match peek () with Some ('+' | '-') -> advance () | _ -> ());
+      digits "in exponent"
+    | _ -> ());
+    Number (float_of_string (String.sub s start (!pos - start)))
   in
   let rec parse_value () =
     skip_ws ();
@@ -186,17 +266,62 @@ let parse_exn s =
   if !pos <> n then fail "trailing garbage";
   v
 
-let parse s =
-  match parse_exn s with
-  | v -> Ok v
-  | exception Parse_error msg -> Error msg
+let parse s = try Ok (parse_exn s) with Invalid msg -> Error msg
 
-(* --- Accessors for tests and the smoke checker --------------------- *)
+(* Errors name the file, so a reader can report them as they are. *)
+let read_file path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error e -> Error e
+  | contents -> (
+    match parse contents with
+    | Ok v -> Ok v
+    | Error msg -> Error (Printf.sprintf "%s: invalid JSON: %s" path msg))
 
-let member key = function
-  | Obj fields -> List.assoc_opt key fields
-  | _ -> None
+(* --- Builders and accessors ------------------------------------------ *)
 
-let to_list = function List l -> Some l | _ -> None
-let to_number = function Number f -> Some f | _ -> None
-let to_string = function String s -> Some s | _ -> None
+let of_int i = Number (float_of_int i)
+let of_int_map pairs = Obj (List.map (fun (k, v) -> (k, of_int v)) pairs)
+
+let describe = function
+  | Null -> "null"
+  | Bool _ -> "a boolean"
+  | Number f -> Printf.sprintf "the number %g" f
+  | String s -> Printf.sprintf "the string %S" s
+  | List _ -> "an array"
+  | Obj _ -> "an object"
+
+let member key = function Obj fields -> List.assoc_opt key fields | _ -> None
+
+let field key v =
+  match v with
+  | Obj fields -> (
+    match List.assoc_opt key fields with
+    | Some x -> x
+    | None -> fail "missing %S" key)
+  | _ -> fail "expected an object with %S, found %s" key (describe v)
+
+let string = function
+  | String s -> s
+  | v -> fail "expected a string, found %s" (describe v)
+
+let number = function
+  | Number f -> f
+  | v -> fail "expected a number, found %s" (describe v)
+
+let int = function
+  | Number f when Float.is_integer f && Float.abs f <= max_exact ->
+    int_of_float f
+  | v -> fail "expected an integer, found %s" (describe v)
+
+let list = function
+  | List l -> l
+  | v -> fail "expected an array, found %s" (describe v)
+
+let obj = function
+  | Obj l -> l
+  | v -> fail "expected an object, found %s" (describe v)
+
+let int_map v =
+  List.map
+    (fun (k, x) -> try (k, int x) with Invalid m -> fail "%S: %s" k m)
+    (obj v)

@@ -106,85 +106,53 @@ let make ~signature ~outcome ~seed ~repro ~config ~events ~phases ~hypercalls
 (* JSON (schema nlh-postmortem/1)                                      *)
 (* ------------------------------------------------------------------ *)
 
-let add_named_ns_list buf key l =
-  Json.escape_to buf key;
-  Buffer.add_string buf ":[";
-  List.iteri
-    (fun i (name, ns) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf "{\"name\":";
-      Json.escape_to buf name;
-      Buffer.add_string buf (Printf.sprintf ",\"ns\":%d}" ns))
-    l;
-  Buffer.add_char buf ']'
+let named_ns l =
+  Json.(
+    List
+      (List.map
+         (fun (name, ns) -> Obj [ ("name", String name); ("ns", of_int ns) ])
+         l))
 
-let add_bundle_body buf t =
-  Buffer.add_string buf "\"signature\":";
-  Json.escape_to buf (Signature.key t.pm_signature);
-  Buffer.add_string buf ",\"outcome\":";
-  Json.escape_to buf t.pm_outcome;
-  Buffer.add_string buf (Printf.sprintf ",\"seed\":%Ld" t.pm_seed);
-  Buffer.add_string buf ",\"repro\":";
-  Json.escape_to buf t.pm_repro;
-  Buffer.add_string buf ",\"config\":{";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Json.escape_to buf k;
-      Buffer.add_char buf ':';
-      Json.escape_to buf v)
-    t.pm_config;
-  Buffer.add_string buf "},\"timeline\":[";
-  List.iteri
-    (fun i (label, (e : Event.t)) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf "{\"label\":";
-      Json.escape_to buf label;
-      Buffer.add_string buf (Printf.sprintf ",\"ns\":%d,\"cpu\":%d" e.Event.time e.Event.cpu);
-      Buffer.add_string buf ",\"event\":";
-      Json.escape_to buf (Event.name e.Event.payload);
-      Buffer.add_char buf ',';
-      Export.add_args buf (Event.args e.Event.payload);
-      Buffer.add_char buf '}')
-    t.pm_timeline;
-  Buffer.add_string buf "],\"first_touch\":";
-  (match t.pm_first_touch with
-  | None -> Buffer.add_string buf "null"
-  | Some (name, ns) ->
-    Buffer.add_string buf "{\"name\":";
-    Json.escape_to buf name;
-    Buffer.add_string buf (Printf.sprintf ",\"ns\":%d}" ns));
-  Buffer.add_char buf ',';
-  add_named_ns_list buf "recovery_phases" t.pm_phases;
-  Buffer.add_char buf ',';
-  add_named_ns_list buf "hypercalls" t.pm_hypercalls;
-  Buffer.add_char buf ',';
-  add_named_ns_list buf "journal_tail" t.pm_journal_tail;
-  Buffer.add_string buf ",\"ledger_diff\":{";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Json.escape_to buf k;
-      Buffer.add_string buf (Printf.sprintf ":%d" v))
-    t.pm_ledger_diff;
-  Buffer.add_char buf '}'
+let seed_json s = Json.Number (Int64.to_float s)
+
+let bundle_fields t =
+  Json.
+    [
+      ("signature", String (Signature.key t.pm_signature));
+      ("outcome", String t.pm_outcome);
+      ("seed", seed_json t.pm_seed);
+      ("repro", String t.pm_repro);
+      ("config", Obj (List.map (fun (k, v) -> (k, String v)) t.pm_config));
+      ( "timeline",
+        List
+          (List.map
+             (fun (label, (e : Event.t)) ->
+               Obj
+                 [
+                   ("label", String label);
+                   ("ns", of_int e.Event.time);
+                   ("cpu", of_int e.Event.cpu);
+                   ("event", String (Event.name e.Event.payload));
+                   ("args", Export.args_json (Event.args e.Event.payload));
+                 ])
+             t.pm_timeline) );
+      ( "first_touch",
+        match t.pm_first_touch with
+        | None -> Null
+        | Some (name, ns) -> Obj [ ("name", String name); ("ns", of_int ns) ] );
+      ("recovery_phases", named_ns t.pm_phases);
+      ("hypercalls", named_ns t.pm_hypercalls);
+      ("journal_tail", named_ns t.pm_journal_tail);
+      ("ledger_diff", of_int_map t.pm_ledger_diff);
+    ]
+
+(* The schema tag, then the caller's [meta] object when there is one. *)
+let header schema meta =
+  ("schema", Json.String schema)
+  :: (if meta = [] then [] else [ ("meta", Json.Obj meta) ])
 
 let to_json ?(meta = []) t =
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\"schema\":\"nlh-postmortem/1\"";
-  if meta <> [] then begin
-    Buffer.add_string buf ",\"meta\":{";
-    List.iteri
-      (fun i a ->
-        if i > 0 then Buffer.add_char buf ',';
-        Export.add_arg buf a)
-      meta;
-    Buffer.add_char buf '}'
-  end;
-  Buffer.add_char buf ',';
-  add_bundle_body buf t;
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
+  Json.Obj (header "nlh-postmortem/1" meta @ bundle_fields t)
 
 (* ------------------------------------------------------------------ *)
 (* Triage: signature-keyed dedupe with a commutative merge             *)
@@ -270,50 +238,30 @@ module Triage = struct
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
   let to_json ?(meta = []) tr =
-    let buf = Buffer.create 4096 in
-    Buffer.add_string buf "{\"schema\":\"nlh-triage/1\"";
-    if meta <> [] then begin
-      Buffer.add_string buf ",\"meta\":{";
-      List.iteri
-        (fun i a ->
-          if i > 0 then Buffer.add_char buf ',';
-          Export.add_arg buf a)
-        meta;
-      Buffer.add_char buf '}'
-    end;
-    Buffer.add_string buf (Printf.sprintf ",\"total\":%d" (total tr));
-    Buffer.add_string buf ",\"signatures\":[";
-    List.iteri
-      (fun i (key, e) ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf "\n{\"signature\":";
-        Json.escape_to buf key;
-        Buffer.add_string buf ",\"fault\":";
-        Json.escape_to buf e.e_signature.Signature.fault;
-        Buffer.add_string buf ",\"target\":";
-        Json.escape_to buf e.e_signature.Signature.target;
-        Buffer.add_string buf ",\"cause\":";
-        Json.escape_to buf e.e_signature.Signature.cause;
-        Buffer.add_string buf ",\"branch\":";
-        Json.escape_to buf e.e_signature.Signature.branch;
-        Buffer.add_string buf (Printf.sprintf ",\"count\":%d" e.e_count);
-        Buffer.add_string buf ",\"seeds\":[";
-        List.iteri
-          (fun j s ->
-            if j > 0 then Buffer.add_char buf ',';
-            Buffer.add_string buf (Printf.sprintf "%Ld" s))
-          e.e_seeds;
-        Buffer.add_string buf "],\"exemplar\":";
-        (match e.e_exemplar with
-        | None -> Buffer.add_string buf "null"
-        | Some (_, b) ->
-          Buffer.add_char buf '{';
-          add_bundle_body buf b;
-          Buffer.add_char buf '}');
-        Buffer.add_char buf '}')
-      (snapshot tr);
-    Buffer.add_string buf "\n]}\n";
-    Buffer.contents buf
+    let entry (key, e) =
+      let sg = e.e_signature in
+      Json.(
+        Obj
+          [
+            ("signature", String key);
+            ("fault", String sg.Signature.fault);
+            ("target", String sg.Signature.target);
+            ("cause", String sg.Signature.cause);
+            ("branch", String sg.Signature.branch);
+            ("count", of_int e.e_count);
+            ("seeds", List (List.map seed_json e.e_seeds));
+            ( "exemplar",
+              match e.e_exemplar with
+              | None -> Null
+              | Some (_, b) -> Obj (bundle_fields b) );
+          ])
+    in
+    Json.Obj
+      (header "nlh-triage/1" meta
+      @ [
+          ("total", Json.of_int (total tr));
+          ("signatures", Json.List (List.map entry (snapshot tr)));
+        ])
 
   (* Filesystem-safe bundle filename for a signature key. *)
   let file_of_key key =
@@ -337,9 +285,7 @@ module Triage = struct
         | None -> None
         | Some (_, b) ->
           let file = Filename.concat dir (file_of_key key) in
-          let oc = open_out file in
-          output_string oc (bundle_json b);
-          close_out oc;
+          Json.write_file file (bundle_json b);
           Some file)
       (snapshot tr)
 end

@@ -213,6 +213,43 @@ let test_merge_commutative () =
   checki "death cause tallied" 1
     (List.assoc "recovery_failed" (Sim.Stats.Counts.sorted direct.Endure.death_notes))
 
+(* nlh-endurance/1 ([BENCH_endurance.json]) has no reader in the tree:
+   read it back through the JSON codec and check its schema tag, one
+   curve point per cycle, and the budget-violation count. *)
+let test_report_reads_back () =
+  let zero = zero_diff () in
+  let leaky = { zero with Hyper.Ledger.orphan_frames = 5 } in
+  let cfg = endure_cfg ~cycles:3 ~budget:(Some 4) () in
+  let t = Endure.make_totals ~cycles:3 () in
+  Endure.add_scenario t cfg
+    (make_scenario
+       [ make_cycle ~index:0 leaky; make_cycle ~index:1 zero; make_cycle ~index:2 leaky ]);
+  let r =
+    {
+      Endure.config_label = "report";
+      cfg;
+      totals = t;
+      jobs = 1;
+      wall_seconds = 0.25;
+      minor_words = 1e6;
+    }
+  in
+  let path = Filename.temp_file "nlh_endurance" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Endure.write_json ~meta:[ ("benchmark", Obs.Json.String "test") ] path r;
+      match Obs.Json.read_file path with
+      | Error e -> Alcotest.fail e
+      | Ok root ->
+        let open Obs.Json in
+        Alcotest.(check string) "schema" "nlh-endurance/1" (string (field "schema" root));
+        checki "one curve point per cycle" (int (field "cycles" root))
+          (List.length (list (field "curve" root)));
+        checki "budget violations" t.Endure.budget_violations
+          (int (field "budget_violations" root));
+        checki "two cycles over budget" 2 t.Endure.budget_violations)
+
 (* The endurance campaign analogue of the parallel-campaign determinism
    contract: survival curve, leak totals and metric snapshots are
    bit-identical for any worker count. *)
@@ -304,6 +341,8 @@ let () =
           Alcotest.test_case "merge commutative" `Quick test_merge_commutative;
           Alcotest.test_case "jobs=1 vs jobs=4 identical" `Slow
             test_campaign_parallel_deterministic;
+          Alcotest.test_case "nlh-endurance/1 report reads back" `Quick
+            test_report_reads_back;
         ] );
       ( "satellites",
         [

@@ -120,9 +120,7 @@ let test_replay_reproduces_discovery () =
 (* ------------------------- Corpus ------------------------------------ *)
 
 let payload_string c =
-  let buf = Buffer.create 256 in
-  Fuzz.Corpus.add_payload buf c;
-  Buffer.contents buf
+  Obs.Json.to_string (Obs.Json.Obj (Fuzz.Corpus.payload_fields c))
 
 let test_corpus_merge_commutative () =
   let entry trace outcome sg =
@@ -189,7 +187,7 @@ let test_corpus_merge_commutative () =
    must be identical whatever the worker count and fan-out grouping. *)
 let test_jobs_fanout_invariant () =
   let base = Fuzz.Session.explore (fuzz_cfg ~jobs:1 ~fanout:1 ()) in
-  let reference = Fuzz.Session.payload_of base in
+  let reference = Obs.Json.to_string (Fuzz.Session.payload_of base) in
   checkb "session evaluated its budget" true (base.Fuzz.Session.s_evaluated >= 48);
   List.iter
     (fun (jobs, fanout) ->
@@ -199,7 +197,7 @@ let test_jobs_fanout_invariant () =
       checks
         (Printf.sprintf "payload identical at jobs=%d fanout=%d" jobs fanout)
         reference
-        (Fuzz.Session.payload_of t))
+        (Obs.Json.to_string (Fuzz.Session.payload_of t)))
     [ (3, 1); (1, 4); (2, 8) ]
 
 let test_kill_resume_byte_identical () =

@@ -1,7 +1,8 @@
 (* Tests for the observability layer: the typed event ring, metrics
    registry merge semantics, campaign metric determinism across worker
-   counts, and the Chrome-trace exporter (valid JSON, monotone
-   timestamps, span sums reproducing the latency breakdown). *)
+   counts, the Chrome-trace exporter (valid JSON, monotone timestamps,
+   span sums reproducing the latency breakdown), and the JSON codec
+   itself (print/parse round trip, strict number grammar). *)
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -277,8 +278,6 @@ let test_campaign_metrics_parallel_identical () =
 
 (* ------------------------- Chrome-trace export ---------------------- *)
 
-let get msg = function Some v -> v | None -> Alcotest.fail msg
-
 let test_chrome_trace_roundtrip () =
   let recorder =
     Obs.Recorder.create ~capacity:65536 ~min_level:Obs.Event.Debug ()
@@ -297,44 +296,97 @@ let test_chrome_trace_roundtrip () =
     Alcotest.(list (pair string int))
     "span sums equal breakdown" steps
     (Obs.Span.sums_by_name recorder.Obs.Recorder.spans);
-  let text = Obs.Export.chrome_trace_of_recorder recorder in
+  let text = Obs.Json.to_string (Obs.Export.chrome_trace_of_recorder recorder) in
   match Obs.Json.parse text with
   | Error e -> Alcotest.fail ("exporter produced invalid JSON: " ^ e)
   | Ok j ->
-    let rows =
-      get "traceEvents must be an array"
-        (Option.bind (Obs.Json.member "traceEvents" j) Obs.Json.to_list)
-    in
+    let rows = Obs.Json.(list (field "traceEvents" j)) in
     checkb "trace has rows" true (rows <> []);
     let spans = ref 0 and last = ref neg_infinity in
     List.iter
       (fun row ->
-        let name =
-          get "row name must be a string"
-            (Option.bind (Obs.Json.member "name" row) Obs.Json.to_string)
-        in
+        let name = Obs.Json.(string (field "name" row)) in
         checkb "row name non-empty" true (name <> "");
-        let ts =
-          get "row ts must be a number"
-            (Option.bind (Obs.Json.member "ts" row) Obs.Json.to_number)
-        in
+        let ts = Obs.Json.(number (field "ts" row)) in
         checkb "ts non-negative" true (ts >= 0.0);
         checkb "ts non-decreasing" true (ts >= !last);
         last := ts;
-        match
-          Option.bind (Obs.Json.member "ph" row) Obs.Json.to_string
-        with
-        | Some "X" ->
+        match Obs.Json.(string (field "ph" row)) with
+        | "X" ->
           incr spans;
-          let dur =
-            get "span dur must be a number"
-              (Option.bind (Obs.Json.member "dur" row) Obs.Json.to_number)
-          in
+          let dur = Obs.Json.(number (field "dur" row)) in
           checkb "span dur non-negative" true (dur >= 0.0)
-        | Some "i" -> ()
+        | "i" -> ()
         | _ -> Alcotest.fail "row phase must be X or i")
       rows;
     checki "one span row per breakdown phase" (List.length steps) !spans
+
+(* ------------------------- JSON codec ------------------------------ *)
+
+(* Byte strings biased toward the characters the printer must escape. *)
+let gen_bytes =
+  QCheck.Gen.(
+    string_size ~gen:(oneof [ char; oneofl [ '"'; '\\'; '\n'; '\000'; '\031' ] ])
+      (int_bound 12))
+
+let gen_json =
+  let open QCheck.Gen in
+  let finite = map (fun f -> if Float.is_finite f then f else 0.5) float in
+  let integral =
+    map float_of_int (int_range (-(1 lsl 53)) (1 lsl 53))
+  in
+  let scalar =
+    oneof
+      [
+        return Obs.Json.Null;
+        map (fun b -> Obs.Json.Bool b) bool;
+        map (fun f -> Obs.Json.Number f) (oneof [ finite; integral ]);
+        map (fun s -> Obs.Json.String s) gen_bytes;
+      ]
+  in
+  sized_size (int_bound 3)
+  @@ fix (fun self depth ->
+         if depth = 0 then scalar
+         else
+           frequency
+             [
+               (2, scalar);
+               (1, map (fun l -> Obs.Json.List l) (list_size (int_bound 4) (self (depth - 1))));
+               ( 1,
+                 map
+                   (fun l -> Obs.Json.Obj l)
+                   (list_size (int_bound 4) (pair gen_bytes (self (depth - 1)))) );
+             ])
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~name:"parse inverts to_string" ~count:500
+    (QCheck.make ~print:Obs.Json.to_string gen_json)
+    (fun v -> Obs.Json.parse (Obs.Json.to_string v) = Ok v)
+
+let test_json_non_finite () =
+  List.iter
+    (fun f ->
+      match Obs.Json.to_string (Obs.Json.List [ Obs.Json.Number f ]) with
+      | exception Invalid_argument _ -> ()
+      | s -> Alcotest.failf "printed a non-finite number as %s" s)
+    [ nan; infinity; neg_infinity ]
+
+let test_json_number_grammar () =
+  List.iter
+    (fun s ->
+      match Obs.Json.parse s with
+      | Ok _ -> Alcotest.failf "accepted invalid number %S" s
+      | Error _ -> ())
+    [ "01"; "-01"; "00"; "1."; "1.e5"; "-"; "1e"; "1e+"; ".5"; "+1"; "[01]" ];
+  List.iter
+    (fun (s, f) ->
+      match Obs.Json.parse s with
+      | Ok (Obs.Json.Number g) when g = f -> ()
+      | _ -> Alcotest.failf "rejected or misread %S" s)
+    [
+      ("0", 0.0); ("-0", 0.0); ("10", 10.0); ("0.5", 0.5); ("1e5", 1e5);
+      ("1E+5", 1e5); ("-1.25e-3", -1.25e-3); ("2.0E02", 200.0);
+    ]
 
 let () =
   Alcotest.run "obs"
@@ -371,5 +423,13 @@ let () =
         [
           Alcotest.test_case "chrome-trace roundtrip" `Quick
             test_chrome_trace_roundtrip;
+        ] );
+      ( "json",
+        [
+          QCheck_alcotest.to_alcotest prop_json_roundtrip;
+          Alcotest.test_case "non-finite numbers raise" `Quick
+            test_json_non_finite;
+          Alcotest.test_case "strict number grammar" `Quick
+            test_json_number_grammar;
         ] );
     ]

@@ -59,7 +59,8 @@ let test_checkpoint_roundtrip () =
           done_chunks = [| true; false; true; true; false |];
         }
       in
-      Obs.Checkpoint.write ~path h ~payload:{|{"x":1}|};
+      Obs.Checkpoint.write ~path h
+        ~payload:(Obs.Json.Obj [ ("x", Obs.Json.Number 1.0) ]);
       match Obs.Checkpoint.read path with
       | Error msg -> Alcotest.fail msg
       | Ok (h', payload) ->
@@ -109,7 +110,9 @@ let test_payload_roundtrip () =
       (run_cfg ~fault:Inject.Fault.Register ())
   in
   let t = r.Inject.Campaign.totals in
-  let payload = Inject.Campaign.payload_of_totals ~fanout:3 t in
+  let payload =
+    Obs.Json.to_string (Inject.Campaign.payload_of_totals ~fanout:3 t)
+  in
   match Obs.Json.parse payload with
   | Error msg -> Alcotest.fail msg
   | Ok json -> (
@@ -122,7 +125,7 @@ let test_payload_roundtrip () =
         (Inject.Campaign.snapshot t');
       (* And the re-serialization is byte-identical: canonical form. *)
       checks "canonical payload" payload
-        (Inject.Campaign.payload_of_totals ~fanout:3 t'))
+        (Obs.Json.to_string (Inject.Campaign.payload_of_totals ~fanout:3 t')))
 
 (* ----------------------- Kill -> resume drills ---------------------- *)
 
