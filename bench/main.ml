@@ -30,8 +30,6 @@ let max_incremental_frac = ref 0.15 (* incremental/full recovery-mean ceiling *)
 let soak_runs = ref 100_000
 let max_heap_growth = ref 15.0 (* top-heap growth ceiling 1e3 -> soak, % *)
 
-let resolve_jobs () = if !jobs > 0 then !jobs else Inject.Pool.default_jobs ()
-
 (* campaign_smoke and scaling are perf-tracking targets, not part of the
    paper reproduction, so they only run when named explicitly. *)
 let perf_sections =
@@ -66,7 +64,8 @@ let table1 () =
         }
       in
       let result =
-        Inject.Campaign.run ~label ~base_seed:7000L ~jobs:(resolve_jobs ()) ~n cfg
+        Inject.Campaign.run ~label ~base_seed:7000L
+          ~jobs:(Inject.Vocab.jobs !jobs) ~n cfg
       in
       Format.printf "%-52s %a@." label Sim.Stats.pp_proportion
         (Inject.Campaign.success_rate result))
@@ -91,29 +90,21 @@ let figure2 () =
   List.iter
     (fun (fault, n) ->
       List.iter
-        (fun (mech, mech_name, hv_config) ->
+        (fun mechanism ->
           let cfg =
-            {
-              Inject.Run.default_config with
-              Inject.Run.fault;
-              setup = Inject.Run.Three_appvm;
-              mech = Inject.Run.Mech (mech, Recovery.Enhancement.full_set);
-              hv_config;
-            }
+            Core.Experiment.config ~setup:Inject.Run.Three_appvm ~fault
+              mechanism
           in
-          let label = Printf.sprintf "%s/%s" mech_name (Inject.Fault.name fault) in
+          let label = Inject.Vocab.label cfg.Inject.Run.mech fault in
           let r =
-            Inject.Campaign.run ~label ~base_seed:31000L ~jobs:(resolve_jobs ())
-              ~n cfg
+            Inject.Campaign.run ~label ~base_seed:31000L
+              ~jobs:(Inject.Vocab.jobs !jobs) ~n cfg
           in
           let fmt_prop p = Format.asprintf "%a" Sim.Stats.pp_proportion p in
           Format.printf "%-22s Success %-18s noVMF %s@." label
             (fmt_prop (Inject.Campaign.success_rate r))
             (fmt_prop (Inject.Campaign.no_vmf_rate r)))
-        [
-          (Recovery.Engine.Nilihype, "NiLiHype", Hyper.Config.nilihype);
-          (Recovery.Engine.Rehype, "ReHype", Hyper.Config.rehype);
-        ])
+        [ Recovery.Engine.Nilihype; Recovery.Engine.Rehype ])
     faults
 
 (* ------------------------------------------------------------------ *)
@@ -131,12 +122,12 @@ let outcomes () =
           Inject.Run.default_config with
           Inject.Run.fault;
           setup = Inject.Run.Three_appvm;
-          mech =
-            Inject.Run.Mech (Recovery.Engine.Nilihype, Recovery.Enhancement.full_set);
-          hv_config = Hyper.Config.nilihype;
         }
       in
-      let r = Inject.Campaign.run ~base_seed:52000L ~jobs:(resolve_jobs ()) ~n cfg in
+      let r =
+        Inject.Campaign.run ~base_seed:52000L ~jobs:(Inject.Vocab.jobs !jobs) ~n
+          cfg
+      in
       let nm, sdc, det = Inject.Campaign.breakdown r in
       Format.printf "%-9s non-manifested %5.1f%%  SDC %5.1f%%  detected %5.1f%%@."
         (Inject.Fault.name fault) nm sdc det)
@@ -270,14 +261,12 @@ let ablation () =
           Inject.Run.default_config with
           Inject.Run.fault = Inject.Fault.Failstop;
           setup = Inject.Run.Three_appvm;
-          mech =
-            Inject.Run.Mech (Recovery.Engine.Nilihype, Recovery.Enhancement.full_set);
-          hv_config = Hyper.Config.nilihype;
           discard_scope = scope;
         }
       in
       let r =
-        Inject.Campaign.run ~label ~base_seed:64000L ~jobs:(resolve_jobs ()) ~n cfg
+        Inject.Campaign.run ~label ~base_seed:64000L
+          ~jobs:(Inject.Vocab.jobs !jobs) ~n cfg
       in
       Format.printf "%-36s success %a@." label Sim.Stats.pp_proportion
         (Inject.Campaign.success_rate r))
@@ -302,13 +291,12 @@ let ablation_logging () =
           Inject.Run.default_config with
           Inject.Run.fault = Inject.Fault.Failstop;
           setup = Inject.Run.One_appvm Workloads.Workload.Unixbench;
-          mech =
-            Inject.Run.Mech (Recovery.Engine.Nilihype, Recovery.Enhancement.full_set);
           hv_config;
         }
       in
       let r =
-        Inject.Campaign.run ~label ~base_seed:71000L ~jobs:(resolve_jobs ()) ~n cfg
+        Inject.Campaign.run ~label ~base_seed:71000L
+          ~jobs:(Inject.Vocab.jobs !jobs) ~n cfg
       in
       Format.printf "%-44s success %a@." label Sim.Stats.pp_proportion
         (Inject.Campaign.success_rate r))
@@ -341,13 +329,13 @@ let multivcpu () =
           Inject.Run.default_config with
           Inject.Run.fault = Inject.Fault.Failstop;
           setup = Inject.Run.Three_appvm;
-          mech =
-            Inject.Run.Mech (Recovery.Engine.Nilihype, Recovery.Enhancement.full_set);
-          hv_config = Hyper.Config.nilihype;
           vcpus_per_cpu;
         }
       in
-      let r = Inject.Campaign.run ~base_seed:83000L ~jobs:(resolve_jobs ()) ~n cfg in
+      let r =
+        Inject.Campaign.run ~base_seed:83000L ~jobs:(Inject.Vocab.jobs !jobs) ~n
+          cfg
+      in
       Format.printf "%d vCPU(s) per CPU: success %a@." vcpus_per_cpu
         Sim.Stats.pp_proportion
         (Inject.Campaign.success_rate r))
@@ -454,22 +442,14 @@ let campaign_smoke () =
   hr "Campaign engine smoke benchmark (parallel vs sequential)";
   tune_gc_for_campaigns ();
   let n = if !full then 1000 else 240 in
-  let cfg =
-    {
-      Inject.Run.default_config with
-      Inject.Run.fault = Inject.Fault.Failstop;
-      setup = Inject.Run.Three_appvm;
-      mech = Inject.Run.Mech (Recovery.Engine.Nilihype, Recovery.Enhancement.full_set);
-      hv_config = Hyper.Config.nilihype;
-    }
-  in
+  let cfg = Inject.Run.default_config (* NiLiHype, failstop, 3AppVM *) in
   let measure jobs =
     Inject.Campaign.run
       ~label:(Printf.sprintf "jobs=%d" jobs)
       ~base_seed:90_000L ~jobs ~n cfg
   in
   let par_jobs =
-    let j = resolve_jobs () in
+    let j = Inject.Vocab.jobs !jobs in
     if j > 1 then j else 4
   in
   let seq = measure 1 in
@@ -530,15 +510,7 @@ let scaling () =
   hr "Campaign scaling sweep (jobs=1,2,4)";
   tune_gc_for_campaigns ();
   let n = if !full then 1000 else 240 in
-  let cfg =
-    {
-      Inject.Run.default_config with
-      Inject.Run.fault = Inject.Fault.Failstop;
-      setup = Inject.Run.Three_appvm;
-      mech = Inject.Run.Mech (Recovery.Engine.Nilihype, Recovery.Enhancement.full_set);
-      hv_config = Hyper.Config.nilihype;
-    }
-  in
+  let cfg = Inject.Run.default_config (* NiLiHype, failstop, 3AppVM *) in
   let sweep = [ 1; 2; 4 ] in
   let results =
     (* (requested jobs, result): the result's own [jobs] field is the
@@ -632,15 +604,7 @@ let alloc () =
   tune_gc_for_campaigns ();
   let n = if !full then 1000 else 240 in
   let base_seed = 90_000L in
-  let cfg =
-    {
-      Inject.Run.default_config with
-      Inject.Run.fault = Inject.Fault.Failstop;
-      setup = Inject.Run.Three_appvm;
-      mech = Inject.Run.Mech (Recovery.Engine.Nilihype, Recovery.Enhancement.full_set);
-      hv_config = Hyper.Config.nilihype;
-    }
-  in
+  let cfg = Inject.Run.default_config (* NiLiHype, failstop, 3AppVM *) in
   (* Direct single-worker loop for the agreement check: the per-run
      [alloc.*] counters are read back as plain ints after each run (the
      worker reset zeroes them at the next rewind), so the loop adds
@@ -755,15 +719,8 @@ let endurance () =
   let scenarios = if !full then 20 else 6 in
   let cfg =
     {
-      Endure.run_cfg =
-        {
-          Inject.Run.default_config with
-          Inject.Run.fault = Inject.Fault.Failstop;
-          setup = Inject.Run.Three_appvm;
-          mech =
-            Inject.Run.Mech (Recovery.Engine.Nilihype, Recovery.Enhancement.full_set);
-          hv_config = Hyper.Config.nilihype;
-        };
+      (* NiLiHype, failstop, 3AppVM *)
+      Endure.run_cfg = Inject.Run.default_config;
       cycles;
       settle_activities = 120;
       leak_budget_pages = Some !leak_budget;
@@ -775,7 +732,7 @@ let endurance () =
       ~base_seed:96_000L ~jobs ~scenarios cfg
   in
   let par_jobs =
-    let j = resolve_jobs () in
+    let j = Inject.Vocab.jobs !jobs in
     if j > 1 then j else 4
   in
   let seq = measure 1 in
@@ -813,16 +770,11 @@ let endurance () =
 let snapshot_bench () =
   hr "Snapshot/restore: O(changed-state) rewind and clone fan-out";
   tune_gc_for_campaigns ();
-  let mech_nili =
-    Inject.Run.Mech (Recovery.Engine.Nilihype, Recovery.Enhancement.full_set)
-  in
   let base_cfg =
     {
       Inject.Run.default_config with
       Inject.Run.fault = Inject.Fault.Register;
       setup = Inject.Run.Three_appvm;
-      mech = mech_nili;
-      hv_config = Hyper.Config.nilihype;
     }
   in
   (* --- Fresh boot cost: the baseline a snapshot restore replaces. --- *)
@@ -876,12 +828,9 @@ let snapshot_bench () =
      detected-recovered; no-recovery failstop runs cover [died]. *)
   measure_restores base_cfg n_restore 100_000;
   measure_restores
-    {
-      base_cfg with
-      Inject.Run.fault = Inject.Fault.Failstop;
-      mech = Inject.Run.No_recovery;
-      hv_config = Hyper.Config.stock;
-    }
+    (Inject.Vocab.config
+       ~base:{ base_cfg with Inject.Run.fault = Inject.Fault.Failstop }
+       Inject.Run.No_recovery)
     (n_restore / 3) 100_000;
   let restore_words = !total_restore_words /. float_of_int !total_restores in
   let restore_fraction =
@@ -1001,15 +950,7 @@ let obs_overhead () =
   hr "Observability overhead: flight recorder + lazy postmortem capture";
   tune_gc_for_campaigns ();
   let n = if !full then 1000 else 240 in
-  let cfg =
-    {
-      Inject.Run.default_config with
-      Inject.Run.fault = Inject.Fault.Failstop;
-      setup = Inject.Run.Three_appvm;
-      mech = Inject.Run.Mech (Recovery.Engine.Nilihype, Recovery.Enhancement.full_set);
-      hv_config = Hyper.Config.nilihype;
-    }
-  in
+  let cfg = Inject.Run.default_config (* NiLiHype, failstop, 3AppVM *) in
   let campaign ?(jobs = 1) ?(oversubscribe = false) ?(fanout = 1)
       ~postmortems label =
     Inject.Campaign.run ~label ~base_seed:90_000L ~jobs ~oversubscribe ~fanout
@@ -1124,13 +1065,7 @@ let obs_overhead () =
   (* Repro fidelity: a no-recovery campaign must emit bundles, and an
      exemplar's one-line repro (--runs 1 --seed S) must land in the same
      failure signature when re-run. *)
-  let dead_cfg =
-    {
-      cfg with
-      Inject.Run.mech = Inject.Run.No_recovery;
-      hv_config = Hyper.Config.stock;
-    }
-  in
+  let dead_cfg = Inject.Vocab.config ~base:cfg Inject.Run.No_recovery in
   let dead =
     Inject.Campaign.run ~label:"no-recovery" ~base_seed:90_000L
       ~postmortems:true ~n:(min n 24) dead_cfg
@@ -1228,14 +1163,7 @@ let fuzz_bench () =
   hr "Fuzz: coverage-guided search vs uniform-grid sampling";
   tune_gc_for_campaigns ();
   let n = if !full then 1024 else 192 in
-  let base =
-    {
-      Inject.Run.default_config with
-      Inject.Run.setup = Inject.Run.Three_appvm;
-      mech = Inject.Run.Mech (Recovery.Engine.Nilihype, Recovery.Enhancement.full_set);
-      hv_config = Hyper.Config.nilihype;
-    }
-  in
+  let base = Inject.Run.default_config (* NiLiHype, 3AppVM *) in
   (* Grid baseline: N/4 runs per fault kind, consecutive seeds, same
      mechanism and setup. Signatures = union over the four triages. *)
   let kinds =
@@ -1250,7 +1178,8 @@ let fuzz_bench () =
         let r =
           Inject.Campaign.run
             ~label:(Printf.sprintf "grid %s" (Inject.Fault.name fault))
-            ~base_seed:9_000L ~jobs:(resolve_jobs ()) ~oversubscribe:(!jobs = 0)
+            ~base_seed:9_000L ~jobs:(Inject.Vocab.jobs !jobs)
+            ~oversubscribe:(!jobs = 0)
             ~postmortems:true ~n:per_kind
             { base with Inject.Run.fault }
         in
@@ -1268,7 +1197,7 @@ let fuzz_bench () =
       Fuzz.Session.f_base = base;
       f_runs = per_kind * List.length kinds;
       f_batch = max 8 (n / 8);
-      f_jobs = resolve_jobs ();
+      f_jobs = Inject.Vocab.jobs !jobs;
       f_oversubscribe = !jobs = 0;
     }
   in
@@ -1354,17 +1283,8 @@ let soak () =
   hr "Soak: streaming aggregation, checkpoint/resume, machine pools";
   tune_gc_for_campaigns ();
   let n = max 1_000 !soak_runs in
-  let cfg =
-    {
-      Inject.Run.default_config with
-      Inject.Run.fault = Inject.Fault.Failstop;
-      setup = Inject.Run.Three_appvm;
-      mech =
-        Inject.Run.Mech (Recovery.Engine.Nilihype, Recovery.Enhancement.full_set);
-      hv_config = Hyper.Config.nilihype;
-    }
-  in
-  let jobs = resolve_jobs () in
+  let cfg = Inject.Run.default_config (* NiLiHype, failstop, 3AppVM *) in
+  let jobs = Inject.Vocab.jobs !jobs in
   (* Machines for every worker slot boot once, up front, and serve the
      small run, the soak, and the resume drills below. *)
   let pool = Inject.Campaign.prepare_pool ~jobs cfg in
@@ -1536,7 +1456,7 @@ let fleet_bench () =
     if !full then Fleet.default_config
     else { Fleet.default_config with Fleet.tenants = 96; trials = 2 }
   in
-  let j = resolve_jobs () in
+  let j = Inject.Vocab.jobs !jobs in
   Format.printf "%d tenants, %d trials/mechanism, %d victims, jobs=%d@.@."
     cfg.Fleet.tenants cfg.Fleet.trials cfg.Fleet.victims j;
   let results =
@@ -1604,9 +1524,8 @@ let () =
   Arg.parse
     [
       ("--full", Arg.Set full, " paper-sized campaigns");
-      ( "--jobs",
-        Arg.Set_int jobs,
-        " parallel worker domains for campaigns (0 = one per core; default 1)" );
+      Inject.Vocab.jobs_spec jobs
+        " parallel worker domains for campaigns (0 = one per core; default 1)";
       ( "--json-out",
         Arg.Set_string json_out,
         " output path for the campaign_smoke JSON record" );

@@ -1,32 +1,7 @@
 (* Campaign CLI: run fault-injection campaigns against the simulated
    virtualization platform from the command line. *)
 
-(* [jobs = 0] means "auto": one worker per recommended domain. *)
-let resolve_jobs jobs = if jobs > 0 then jobs else Inject.Pool.default_jobs ()
-
-let run_campaign ~mech ~fault ~setup ~n ~seed ~jobs ~chunk ~fanout ~label =
-  let mechanism, enh, hv_config =
-    match mech with
-    | `Nilihype ->
-      ( Inject.Run.Mech (Recovery.Engine.Nilihype, Recovery.Enhancement.full_set),
-        Recovery.Enhancement.full_set,
-        Hyper.Config.nilihype )
-    | `Rehype ->
-      ( Inject.Run.Mech (Recovery.Engine.Rehype, Recovery.Enhancement.full_set),
-        Recovery.Enhancement.full_set,
-        Hyper.Config.rehype )
-    | `None -> (Inject.Run.No_recovery, Recovery.Enhancement.full_set, Hyper.Config.stock)
-  in
-  ignore enh;
-  let cfg =
-    {
-      Inject.Run.default_config with
-      Inject.Run.fault;
-      setup;
-      mech = mechanism;
-      hv_config;
-    }
-  in
+let run_campaign cfg ~n ~seed ~jobs ~chunk ~fanout ~label =
   let result =
     Inject.Campaign.run ~label ~base_seed:seed ~jobs ?chunk ~fanout
       ~postmortems:(Obs_cli.postmortems_on ())
@@ -76,9 +51,9 @@ let run_campaign ~mech ~fault ~setup ~n ~seed ~jobs ~chunk ~fanout ~label =
     ignore (Obs_cli.traced_run !Obs_cli.trace_file { cfg with Inject.Run.seed })
 
 let () =
-  let mech = ref `Nilihype in
-  let fault = ref Inject.Fault.Failstop in
-  let setup = ref Inject.Run.Three_appvm in
+  let mech = ref Inject.Run.default_config.Inject.Run.mech in
+  let fault = ref Inject.Run.default_config.Inject.Run.fault in
+  let setup = ref Inject.Run.default_config.Inject.Run.setup in
   let n = ref 200 in
   let seed = ref 10_000 in
   let jobs = ref 1 in
@@ -87,35 +62,13 @@ let () =
   let ladder = ref false in
   let spec =
     [
-      ( "--mech",
-        Arg.Symbol
-          ( [ "nilihype"; "rehype"; "none" ],
-            function
-            | "nilihype" -> mech := `Nilihype
-            | "rehype" -> mech := `Rehype
-            | _ -> mech := `None ),
-        " recovery mechanism" );
-      ( "--fault",
-        Arg.Symbol
-          ( [ "failstop"; "register"; "code"; "data" ],
-            function
-            | "failstop" -> fault := Inject.Fault.Failstop
-            | "register" -> fault := Inject.Fault.Register
-            | "data" -> fault := Inject.Fault.Data
-            | _ -> fault := Inject.Fault.Code ),
-        " fault type" );
-      ( "--setup",
-        Arg.Symbol
-          ( [ "1appvm"; "3appvm" ],
-            function
-            | "1appvm" -> setup := Inject.Run.One_appvm Workloads.Workload.Unixbench
-            | _ -> setup := Inject.Run.Three_appvm ),
-        " target system setup" );
+      Inject.Vocab.mech_spec mech;
+      Inject.Vocab.fault_spec fault;
+      Inject.Vocab.setup_spec setup;
       ("--runs", Arg.Set_int n, " number of injection runs");
       ("--seed", Arg.Set_int seed, " base seed");
-      ( "--jobs",
-        Arg.Set_int jobs,
-        " parallel worker domains (0 = one per core; default 1)" );
+      Inject.Vocab.jobs_spec jobs
+        " parallel worker domains (0 = one per core; default 1)";
       ( "--chunk",
         Arg.Set_int chunk,
         " work items per scheduling chunk (0 = auto; ignored on --resume, \
@@ -127,7 +80,7 @@ let () =
     ]
     @ Obs_cli.arg_specs
   in
-  Arg.parse spec (fun _ -> ()) "nlh_campaign [options]";
+  Arg.parse spec Inject.Vocab.no_positional "nlh_campaign [options]";
   if !ladder then
     List.iter
       (fun (label, hv_config, enh) ->
@@ -142,7 +95,7 @@ let () =
         in
         let result =
           Inject.Campaign.run ~label ~base_seed:(Int64.of_int !seed)
-            ~jobs:(resolve_jobs !jobs) ~n:!n cfg
+            ~jobs:(Inject.Vocab.jobs !jobs) ~n:!n cfg
         in
         Format.printf "%-50s success %a@." label Sim.Stats.pp_proportion
           (Inject.Campaign.success_rate result);
@@ -155,14 +108,15 @@ let () =
              (Inject.Campaign.failure_notes result.Inject.Campaign.totals)))
       Recovery.Enhancement.table1_ladder
   else
-    run_campaign ~mech:!mech ~fault:!fault ~setup:!setup ~n:!n
-      ~seed:(Int64.of_int !seed) ~jobs:(resolve_jobs !jobs)
+    run_campaign
+      (Inject.Vocab.config
+         ~base:
+           {
+             Inject.Run.default_config with
+             Inject.Run.fault = !fault;
+             setup = !setup;
+           }
+         !mech)
+      ~n:!n ~seed:(Int64.of_int !seed) ~jobs:(Inject.Vocab.jobs !jobs)
       ~chunk:(if !chunk > 0 then Some !chunk else None)
-      ~fanout:!fanout
-      ~label:
-        (Printf.sprintf "%s/%s"
-           (match !mech with
-           | `Nilihype -> "NiLiHype"
-           | `Rehype -> "ReHype"
-           | `None -> "none")
-           (Inject.Fault.name !fault))
+      ~fanout:!fanout ~label:(Inject.Vocab.label !mech !fault)

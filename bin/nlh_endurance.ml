@@ -2,11 +2,9 @@
    inject -> detect -> recover cycles and account for resource leaks.
    Exits non-zero when any recovery leaks more pages than the budget. *)
 
-let resolve_jobs jobs = if jobs > 0 then jobs else Inject.Pool.default_jobs ()
-
 let () =
-  let mech = ref `Nilihype in
-  let fault = ref Inject.Fault.Failstop in
+  let mech = ref Inject.Run.default_config.Inject.Run.mech in
+  let fault = ref Inject.Run.default_config.Inject.Run.fault in
   let cycles = ref 50 in
   let scenarios = ref 10 in
   let settle = ref Endure.default_config.Endure.settle_activities in
@@ -17,29 +15,16 @@ let () =
   let json_out = ref "BENCH_endurance.json" in
   let spec =
     [
-      ( "--mech",
-        Arg.Symbol
-          ( [ "nilihype"; "rehype" ],
-            function "nilihype" -> mech := `Nilihype | _ -> mech := `Rehype ),
-        " recovery mechanism" );
-      ( "--fault",
-        Arg.Symbol
-          ( [ "failstop"; "register"; "code"; "data" ],
-            function
-            | "failstop" -> fault := Inject.Fault.Failstop
-            | "register" -> fault := Inject.Fault.Register
-            | "data" -> fault := Inject.Fault.Data
-            | _ -> fault := Inject.Fault.Code ),
-        " fault type" );
+      Inject.Vocab.mech_spec ~table:Inject.Vocab.recovery_mechs mech;
+      Inject.Vocab.fault_spec fault;
       ("--cycles", Arg.Set_int cycles, " recovery cycles per scenario");
       ("--scenarios", Arg.Set_int scenarios, " independent scenarios (seeds)");
       ( "--settle",
         Arg.Set_int settle,
         " post-recovery activities before each ledger snapshot" );
       ("--seed", Arg.Set_int seed, " base seed");
-      ( "--jobs",
-        Arg.Set_int jobs,
-        " parallel worker domains (0 = one per core; default 1)" );
+      Inject.Vocab.jobs_spec jobs
+        " parallel worker domains (0 = one per core; default 1)";
       ( "--chunk",
         Arg.Set_int chunk,
         " scenarios per scheduling chunk (0 = auto; ignored on --resume)" );
@@ -53,35 +38,22 @@ let () =
     ]
     @ Obs_cli.arg_specs
   in
-  Arg.parse spec (fun _ -> ()) "nlh_endurance [options]";
-  let mech_name, hv_config =
-    match !mech with
-    | `Nilihype -> ("NiLiHype", Hyper.Config.nilihype)
-    | `Rehype -> ("ReHype", Hyper.Config.rehype)
-  in
-  let mechanism =
-    match !mech with
-    | `Nilihype -> Recovery.Engine.Nilihype
-    | `Rehype -> Recovery.Engine.Rehype
-  in
+  Arg.parse spec Inject.Vocab.no_positional "nlh_endurance [options]";
   let cfg =
     {
       Endure.run_cfg =
-        {
-          Inject.Run.default_config with
-          Inject.Run.fault = !fault;
-          mech = Inject.Run.Mech (mechanism, Recovery.Enhancement.full_set);
-          hv_config;
-        };
+        Inject.Vocab.config
+          ~base:{ Inject.Run.default_config with Inject.Run.fault = !fault }
+          !mech;
       cycles = !cycles;
       settle_activities = !settle;
       leak_budget_pages = (if !budget < 0 then None else Some !budget);
     }
   in
-  let label = Printf.sprintf "%s/%s" mech_name (Inject.Fault.name !fault) in
+  let label = Inject.Vocab.label !mech !fault in
   let result =
     Endure.run ~label ~base_seed:(Int64.of_int !seed)
-      ~jobs:(resolve_jobs !jobs)
+      ~jobs:(Inject.Vocab.jobs !jobs)
       ?chunk:(if !chunk > 0 then Some !chunk else None)
       ~postmortems:(Obs_cli.postmortems_on ())
       ?checkpoint:(Obs_cli.checkpoint ())
@@ -128,7 +100,7 @@ let () =
         Obs.Json.[
           ("tool", String "nlh_endurance");
           ("label", String label);
-          ("mechanism", String mech_name);
+          ("mechanism", String (Inject.Vocab.mech_label !mech));
           ("fault", String (Inject.Fault.name !fault));
           ("base_seed", of_int !seed);
         ]

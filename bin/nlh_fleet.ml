@@ -16,33 +16,26 @@ let () =
   let out = ref "" in
   let mechs = ref [] in
   let selfcheck = ref false in
-  let add_mech s =
-    match Fleet.mechanism_of_string s with
-    | Some m -> mechs := m :: !mechs
-    | None ->
-      prerr_endline
-        ("unknown mechanism " ^ s
-       ^ " (expected serial-full | serial-incremental)");
-      exit 2
-  in
   let spec =
     [
       ("--tenants", Arg.Set_int tenants, "N tenant VMs on the host (200)");
       ("--trials", Arg.Set_int trials, "N independent trials per mechanism (4)");
       ("--victims", Arg.Set_int victims, "N tenants damaged by the fault (3)");
-      ("--jobs", Arg.Set_int jobs, "N worker processes for trials (1)");
+      Inject.Vocab.jobs_spec jobs
+        "N worker domains for trials (0 = one per core; default 1)";
       ("--seed", Arg.Set_int seed, "N base seed (42000)");
       ( "--mech",
-        Arg.String add_mech,
-        "M serial-full|serial-incremental (default: both)" );
+        Inject.Vocab.symbol
+          (List.map (fun m -> (Fleet.mechanism_name m, m)) Fleet.all_mechanisms)
+          (fun m -> mechs := m :: !mechs),
+        " mechanism to run (repeatable; default: both)" );
       ("--out", Arg.Set_string out, "FILE write nlh-fleet/1 JSON");
       ( "--selfcheck",
         Arg.Set selfcheck,
         " verify aggregates are jobs-invariant (jobs=1 vs jobs=2)" );
     ]
   in
-  Arg.parse spec
-    (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
+  Arg.parse spec Inject.Vocab.no_positional
     "nlh_fleet: tenant-fleet request latency through a recovery event";
   let cfg =
     {
@@ -56,6 +49,7 @@ let () =
   let mechs =
     if !mechs = [] then Fleet.all_mechanisms else List.rev !mechs
   in
+  let jobs = Inject.Vocab.jobs !jobs in
   if !selfcheck then begin
     (* The fleet contract: trial aggregation is a commutative merge of
        per-trial snapshots, so results are bit-identical for any --jobs.
@@ -75,11 +69,11 @@ let () =
   end;
   Format.printf
     "Fleet: %d tenants, %d trials/mechanism, %d victims, jobs=%d@.@." !tenants
-    !trials !victims !jobs;
+    !trials !victims jobs;
   let results =
     List.map
       (fun mech ->
-        let r = Fleet.run ~jobs:!jobs cfg mech in
+        let r = Fleet.run ~jobs cfg mech in
         Format.printf "  %a" Fleet.pp r;
         r)
       mechs

@@ -10,19 +10,6 @@
      byte-identical triage entries that match the corpus record (exit 1
      otherwise) -- the repro-fidelity gate @check runs in CI. *)
 
-let base_config mech setup =
-  let mechanism, hv_config =
-    match mech with
-    | `Nilihype ->
-      ( Inject.Run.Mech (Recovery.Engine.Nilihype, Recovery.Enhancement.full_set),
-        Hyper.Config.nilihype )
-    | `Rehype ->
-      ( Inject.Run.Mech (Recovery.Engine.Rehype, Recovery.Enhancement.full_set),
-        Hyper.Config.rehype )
-    | `None -> (Inject.Run.No_recovery, Hyper.Config.stock)
-  in
-  { Inject.Run.default_config with Inject.Run.setup; mech = mechanism; hv_config }
-
 let triage_entry_json (r : Fuzz.Session.replay_result) =
   let tr = Obs.Postmortem.Triage.create () in
   (match Obs.Signature.of_key r.Fuzz.Session.r_signature with
@@ -33,8 +20,8 @@ let triage_entry_json (r : Fuzz.Session.replay_result) =
   Obs.Json.to_string (Obs.Postmortem.Triage.to_json tr)
 
 let () =
-  let mech = ref `Nilihype in
-  let setup = ref Inject.Run.Three_appvm in
+  let mech = ref Inject.Run.default_config.Inject.Run.mech in
+  let setup = ref Inject.Run.default_config.Inject.Run.setup in
   let runs = ref 256 in
   let batch = ref 32 in
   let jobs = ref 1 in
@@ -49,24 +36,11 @@ let () =
   let replay_check = ref 0 in
   let spec =
     [
-      ( "--mech",
-        Arg.Symbol
-          ( [ "nilihype"; "rehype"; "none" ],
-            function
-            | "nilihype" -> mech := `Nilihype
-            | "rehype" -> mech := `Rehype
-            | _ -> mech := `None ),
-        " recovery mechanism" );
-      ( "--setup",
-        Arg.Symbol
-          ( [ "1appvm"; "3appvm" ],
-            function
-            | "1appvm" -> setup := Inject.Run.One_appvm Workloads.Workload.Unixbench
-            | _ -> setup := Inject.Run.Three_appvm ),
-        " target system setup" );
+      Inject.Vocab.mech_spec mech;
+      Inject.Vocab.setup_spec setup;
       ("--runs", Arg.Set_int runs, " total mutant budget for the session");
       ("--batch", Arg.Set_int batch, " mutants generated per round");
-      ("--jobs", Arg.Set_int jobs, " parallel worker domains (0 = one per core)");
+      Inject.Vocab.jobs_spec jobs " parallel worker domains (0 = one per core)";
       ( "--fanout",
         Arg.Set_int fanout,
         " max mutants cloned from one prepared warmup (default 8)" );
@@ -99,14 +73,17 @@ let () =
         " write one exemplar postmortem bundle per signature here" );
     ]
   in
-  Arg.parse spec (fun _ -> ()) "nlh_fuzz [options]";
+  Arg.parse spec Inject.Vocab.no_positional "nlh_fuzz [options]";
   let cfg =
     {
-      Fuzz.Session.f_base = base_config !mech !setup;
+      Fuzz.Session.f_base =
+        Inject.Vocab.config
+          ~base:{ Inject.Run.default_config with Inject.Run.setup = !setup }
+          !mech;
       f_base_seed = Int64.of_int !seed;
       f_runs = !runs;
       f_batch = max 1 !batch;
-      f_jobs = (if !jobs > 0 then !jobs else Inject.Pool.default_jobs ());
+      f_jobs = Inject.Vocab.jobs !jobs;
       f_oversubscribe = !oversubscribe;
       f_fanout = max 1 !fanout;
       f_corpus_path = (if !corpus_out = "" then None else Some !corpus_out);

@@ -93,33 +93,21 @@ let () =
       ( "--runs",
         Arg.Set_int runs,
         " also measure mean latency over a failstop campaign of this size" );
-      ( "--jobs",
-        Arg.Set_int jobs,
-        " parallel worker domains for --runs (0 = one per core; default 1)" );
+      Inject.Vocab.jobs_spec jobs
+        " parallel worker domains for --runs (0 = one per core; default 1)";
       ( "--json-out",
         Arg.Set_string json_out,
         " write the latency report (analytic + empirical) as JSON" );
     ]
     @ Obs_cli.arg_specs
   in
-  Arg.parse spec (fun _ -> ()) "nlh_latency [options]";
+  Arg.parse spec Inject.Vocab.no_positional "nlh_latency [options]";
   let mconfig =
     {
       Hw.Machine.default_config with
       Hw.Machine.mem_bytes = !mem_gb * 1024 * 1024 * 1024;
       num_cpus = max 2 !cpus;
     }
-  in
-  let measure ?obs mechanism =
-    let clock = Sim.Clock.create () in
-    let config = Recovery.Engine.config mechanism in
-    let hv =
-      Hyper.Hypervisor.boot ~mconfig ?obs ~config
-        ~setup:Hyper.Hypervisor.One_appvm clock
-    in
-    Array.iter Hyper.Percpu.irq_enter hv.Hyper.Hypervisor.percpu;
-    Recovery.Engine.recover mechanism hv ~enh:Recovery.Enhancement.full_set
-      ~detected_on:0
   in
   (* With --trace/--metrics, the NiLiHype measurement runs against a full
      recorder: its recovery spans become the exported timeline. *)
@@ -131,7 +119,9 @@ let () =
   Format.printf "Machine: %d GiB RAM (%d frames), %d CPUs@.@." !mem_gb
     (mconfig.Hw.Machine.mem_bytes / Hw.Machine.page_size)
     mconfig.Hw.Machine.num_cpus;
-  let nl = measure ?obs:recorder Recovery.Engine.Nilihype in
+  let nl =
+    Core.Latency.measure ~mconfig ?obs:recorder Recovery.Engine.Nilihype
+  in
   Format.printf "NiLiHype (microreset):@.%a@." Hyper.Latency_model.pp
     nl.Recovery.Engine.breakdown;
   (match recorder with
@@ -153,7 +143,7 @@ let () =
         !Obs_cli.metrics_file
         (Obs.Recorder.metrics_snapshot r)
   | None -> ());
-  let re = measure Recovery.Engine.Rehype in
+  let re = Core.Latency.measure ~mconfig Recovery.Engine.Rehype in
   Format.printf "ReHype (microreboot):@.%a@." Hyper.Latency_model.pp
     re.Recovery.Engine.breakdown;
   Format.printf "ratio: %.1fx@."
@@ -166,9 +156,7 @@ let () =
        it at a ~4%% recovery-rate cost.@.";
   let empirical =
     if !runs > 0 then
-      Some
-        (empirical_latency ~runs:!runs
-           ~jobs:(if !jobs > 0 then !jobs else Inject.Pool.default_jobs ()))
+      Some (empirical_latency ~runs:!runs ~jobs:(Inject.Vocab.jobs !jobs))
     else None
   in
   if !json_out <> "" then

@@ -407,8 +407,7 @@ let check_fleet path root =
       let what = Printf.sprintf "mechanisms[%d]" i in
       let name = string (field "mechanism" m) in
       if
-        not
-          (List.mem name [ "serial-full"; "serial-incremental" ])
+        not (List.mem name (List.map Fleet.mechanism_name Fleet.all_mechanisms))
       then die "%s: %s: unknown mechanism %S" path what name;
       if List.mem name !seen then
         die "%s: %s: duplicate mechanism %S" path what name;

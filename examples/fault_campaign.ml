@@ -10,13 +10,10 @@ let () =
   List.iter
     (fun mechanism ->
       let r =
-        Core.Experiment.campaign ~fault:Core.Experiment.Register ~mechanism ~runs ()
+        Core.Experiment.campaign ~fault:Inject.Fault.Register ~mechanism ~runs
+          ()
       in
-      let name =
-        match mechanism with
-        | Core.Experiment.Nilihype -> "NiLiHype"
-        | Core.Experiment.Rehype -> "ReHype"
-      in
+      let name = Recovery.Engine.mechanism_name mechanism in
       let nm, sdc, det = Inject.Campaign.breakdown r in
       Format.printf
         "%-9s outcomes: %.1f%% non-manifested / %.1f%% SDC / %.1f%% detected@."
@@ -28,4 +25,4 @@ let () =
       | Some l ->
         Format.printf "%-9s mean recovery latency: %a@." name Sim.Time.pp_float l
       | None -> ())
-    [ Core.Experiment.Nilihype; Core.Experiment.Rehype ]
+    [ Recovery.Engine.Nilihype; Recovery.Engine.Rehype ]

@@ -9,8 +9,8 @@
     Quick start:
     {[
       let outcome =
-        Core.Experiment.inject_one ~fault:Core.Experiment.Register
-          ~mechanism:Core.Experiment.Nilihype ~seed:42L ()
+        Core.Experiment.inject_one ~fault:Inject.Fault.Register
+          ~mechanism:Recovery.Engine.Nilihype ~seed:42L ()
       in
       Format.printf "%a@." Core.Experiment.pp_outcome outcome
     ]}
@@ -73,52 +73,21 @@ end
 
 (** One-call fault-injection experiments. *)
 module Experiment = struct
-  type fault = Failstop | Register | Code | Data
-  type mechanism = Nilihype | Rehype
-
-  let to_inject_fault = function
-    | Failstop -> Inject.Fault.Failstop
-    | Register -> Inject.Fault.Register
-    | Code -> Inject.Fault.Code
-    | Data -> Inject.Fault.Data
-
-  let to_engine = function
-    | Nilihype -> Recovery.Engine.Nilihype
-    | Rehype -> Recovery.Engine.Rehype
-
   type outcome = Inject.Run.outcome
 
+  (* The same config the CLIs build for this (fault, mechanism, setup). *)
+  let config ~setup ~fault mechanism =
+    Inject.Vocab.config
+      ~base:{ Inject.Run.default_config with Inject.Run.fault; setup }
+      (Inject.Run.Mech (mechanism, Recovery.Enhancement.full_set))
+
   let inject_one ?(setup = Inject.Run.Three_appvm) ~fault ~mechanism ~seed () =
-    let cfg =
-      {
-        Inject.Run.default_config with
-        Inject.Run.seed;
-        fault = to_inject_fault fault;
-        setup;
-        mech = Inject.Run.Mech (to_engine mechanism, Recovery.Enhancement.full_set);
-        hv_config =
-          (match mechanism with
-          | Nilihype -> Hyper.Config.nilihype
-          | Rehype -> Hyper.Config.rehype);
-      }
-    in
-    Inject.Run.run cfg
+    Inject.Run.run { (config ~setup ~fault mechanism) with Inject.Run.seed }
 
   let campaign ?(setup = Inject.Run.Three_appvm) ?(base_seed = 10_000L)
       ?(jobs = 1) ~fault ~mechanism ~runs () =
-    let cfg =
-      {
-        Inject.Run.default_config with
-        Inject.Run.fault = to_inject_fault fault;
-        setup;
-        mech = Inject.Run.Mech (to_engine mechanism, Recovery.Enhancement.full_set);
-        hv_config =
-          (match mechanism with
-          | Nilihype -> Hyper.Config.nilihype
-          | Rehype -> Hyper.Config.rehype);
-      }
-    in
-    Inject.Campaign.run ~base_seed ~jobs ~n:runs cfg
+    Inject.Campaign.run ~base_seed ~jobs ~n:runs
+      (config ~setup ~fault mechanism)
 
   let pp_outcome fmt (o : outcome) =
     match o with
@@ -134,14 +103,15 @@ end
 (** Recovery-latency measurement at full machine geometry (Tables II and
     III of the paper). *)
 module Latency = struct
-  (* Measure a clean-recovery latency breakdown on the reference 8 GB /
-     8 CPU machine (no fault: the latency is dominated by machine
-     geometry, not damage). *)
-  let measure mechanism =
+  (* Measure a clean-recovery latency breakdown, by default on the
+     reference 8 GB / 8 CPU machine (no fault: the latency is dominated
+     by machine geometry, not damage). With [obs], the recovery's spans
+     land in that recorder. *)
+  let measure ?(mconfig = Hw.Machine.default_config) ?obs mechanism =
     let clock = Sim.Clock.create () in
     let config = Recovery.Engine.config mechanism in
     let hv =
-      Hyper.Hypervisor.boot ~mconfig:Hw.Machine.default_config ~config
+      Hyper.Hypervisor.boot ~mconfig ?obs ~config
         ~setup:Hyper.Hypervisor.One_appvm clock
     in
     (* Enter detection context as a real recovery would. *)

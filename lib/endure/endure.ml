@@ -286,6 +286,16 @@ let run_cycle (st : Inject.Run.state) cfg ins ~mechanism ~enh ~index ~before =
                detection = Some (Crash.describe det);
              })))
 
+(* One-line repro of a dying scenario: the single-scenario endurance run
+   at the scenario's own seed replays the same death. *)
+let repro_line (run_cfg : Inject.Run.config) ~cycles =
+  Printf.sprintf
+    "nlh_endurance --mech %s --fault %s --cycles %d --scenarios 1 --seed %Ld \
+     --jobs 1"
+    (Inject.Vocab.mech_name run_cfg.Inject.Run.mech)
+    (Inject.Vocab.fault_name run_cfg.Inject.Run.fault)
+    cycles run_cfg.Inject.Run.seed
+
 (* Drive one full scenario over an already-rewound machine state. *)
 let drive ?(postmortems = false) (st : Inject.Run.state) (cfg : config) :
     scenario =
@@ -338,17 +348,10 @@ let drive ?(postmortems = false) (st : Inject.Run.state) (cfg : config) :
            ~cause:why
            ~branch:(Recovery.Engine.mechanism_name mechanism ^ "/died")
        in
-       let seed = run_cfg.Inject.Run.seed in
-       let repro =
-         Printf.sprintf
-           "nlh_endurance --mech %s --fault %s --cycles %d --scenarios 1 \
-            --seed %Ld --jobs 1"
-           (Inject.Postmortem.mech_cli run_cfg.Inject.Run.mech)
-           (Inject.Postmortem.fault_cli run_cfg.Inject.Run.fault)
-           cfg.cycles seed
-       in
        let bundle =
-         Obs.Postmortem.make ~signature:sg ~outcome:"died" ~seed ~repro
+         Obs.Postmortem.make ~signature:sg ~outcome:"died"
+           ~seed:run_cfg.Inject.Run.seed
+           ~repro:(repro_line run_cfg ~cycles:cfg.cycles)
            ~config:
              (("cycles", string_of_int cfg.cycles)
              :: ("died_at_cycle", string_of_int at)
@@ -646,9 +649,9 @@ let fingerprint ~base_seed ~scenarios (cfg : config) =
   Printf.sprintf
     "endurance;mech=%s;fault=%s;setup=%s;cycles=%d;settle=%d;budget=%s;\
      base_seed=%Ld;n=%d"
-    (Inject.Postmortem.mech_cli cfg.run_cfg.Inject.Run.mech)
-    (Inject.Postmortem.fault_cli cfg.run_cfg.Inject.Run.fault)
-    (Inject.Postmortem.setup_cli cfg.run_cfg.Inject.Run.setup)
+    (Inject.Vocab.mech_name cfg.run_cfg.Inject.Run.mech)
+    (Inject.Vocab.fault_name cfg.run_cfg.Inject.Run.fault)
+    (Inject.Vocab.setup_name cfg.run_cfg.Inject.Run.setup)
     cfg.cycles cfg.settle_activities
     (match cfg.leak_budget_pages with
     | Some b -> string_of_int b

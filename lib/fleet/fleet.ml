@@ -40,11 +40,6 @@ let mechanism_name = function
   | Serial_full -> "serial-full"
   | Serial_incremental -> "serial-incremental"
 
-let mechanism_of_string = function
-  | "serial-full" -> Some Serial_full
-  | "serial-incremental" -> Some Serial_incremental
-  | _ -> None
-
 let all_mechanisms = [ Serial_full; Serial_incremental ]
 
 type config = {

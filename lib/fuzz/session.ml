@@ -66,8 +66,8 @@ let n_rounds cfg =
    so a resume may change them freely. *)
 let fingerprint cfg =
   Printf.sprintf "fuzz;mech=%s;setup=%s;base_seed=%Ld;runs=%d;batch=%d"
-    (Postmortem.mech_cli cfg.f_base.Run.mech)
-    (Postmortem.setup_cli cfg.f_base.Run.setup)
+    (Vocab.mech_name cfg.f_base.Run.mech)
+    (Vocab.setup_name cfg.f_base.Run.setup)
     cfg.f_base_seed cfg.f_runs cfg.f_batch
 
 type t = {
@@ -190,8 +190,8 @@ type eval = {
 
 let repro_line cfg trace =
   Printf.sprintf "nlh_fuzz --mech %s --setup %s --seed %Ld --replay %s"
-    (Postmortem.mech_cli cfg.f_base.Run.mech)
-    (Postmortem.setup_cli cfg.f_base.Run.setup)
+    (Vocab.mech_name cfg.f_base.Run.mech)
+    (Vocab.setup_name cfg.f_base.Run.setup)
     cfg.f_base_seed (Input.trace_string trace)
 
 (* The recorder shape is fixed (the postmortem shape, whatever the

@@ -247,9 +247,9 @@ type checkpoint = {
    rather than corrupting chunk identity. *)
 let fingerprint ~base_seed ~n (cfg : Run.config) =
   Printf.sprintf "campaign;mech=%s;fault=%s;setup=%s;base_seed=%Ld;n=%d"
-    (Postmortem.mech_cli cfg.Run.mech)
-    (Postmortem.fault_cli cfg.Run.fault)
-    (Postmortem.setup_cli cfg.Run.setup)
+    (Vocab.mech_name cfg.Run.mech)
+    (Vocab.fault_name cfg.Run.fault)
+    (Vocab.setup_name cfg.Run.setup)
     base_seed n
 
 (* The checkpoint payload is the merged aggregate minus triage (the

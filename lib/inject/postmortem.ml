@@ -21,23 +21,6 @@
 
 open Hyper
 
-(* CLI vocabulary for the one-line repro: must match the [Arg.Symbol]
-   names in bin/nlh_campaign.ml. *)
-let mech_cli = function
-  | Run.No_recovery -> "none"
-  | Run.Mech (Recovery.Engine.Nilihype, _) -> "nilihype"
-  | Run.Mech (Recovery.Engine.Rehype, _) -> "rehype"
-
-let setup_cli = function
-  | Run.One_appvm _ -> "1appvm"
-  | Run.Three_appvm -> "3appvm"
-
-let fault_cli = function
-  | Fault.Failstop -> "failstop"
-  | Fault.Register -> "register"
-  | Fault.Code -> "code"
-  | Fault.Data -> "data"
-
 (* Canonical death cause: collapse the free-form [failure_reason] into a
    closed, greppable vocabulary. Signature keys must stay low-cardinality
    -- a reason string with a CPU number in it would give every failure
@@ -98,17 +81,17 @@ let repro_line (cfg : Run.config) ~seed ~runs ~fanout =
   Printf.sprintf
     "nlh_campaign --mech %s --fault %s --setup %s --runs %d --seed %Ld --jobs \
      1%s"
-    (mech_cli cfg.Run.mech)
-    (fault_cli cfg.Run.fault)
-    (setup_cli cfg.Run.setup)
+    (Vocab.mech_name cfg.Run.mech)
+    (Vocab.fault_name cfg.Run.fault)
+    (Vocab.setup_name cfg.Run.setup)
     runs seed
     (if fanout > 1 then Printf.sprintf " --fanout %d" fanout else "")
 
 let config_fields (cfg : Run.config) ~fanout =
   [
-    ("mech", mech_cli cfg.Run.mech);
-    ("fault", fault_cli cfg.Run.fault);
-    ("setup", setup_cli cfg.Run.setup);
+    ("mech", Vocab.mech_name cfg.Run.mech);
+    ("fault", Vocab.fault_name cfg.Run.fault);
+    ("setup", Vocab.setup_name cfg.Run.setup);
     ("fanout", string_of_int fanout);
   ]
 

@@ -23,12 +23,12 @@ let test_failstop_campaign_headline () =
      faults, at essentially the same rate (Figure 2, failstop bars). *)
   let rate mechanism =
     let r =
-      Core.Experiment.campaign ~fault:Core.Experiment.Failstop ~mechanism ~runs:120 ()
+      Core.Experiment.campaign ~fault:Inject.Fault.Failstop ~mechanism ~runs:120 ()
     in
     Sim.Stats.rate (Inject.Campaign.success_rate r)
   in
-  let nl = rate Core.Experiment.Nilihype in
-  let re = rate Core.Experiment.Rehype in
+  let nl = rate Recovery.Engine.Nilihype in
+  let re = rate Recovery.Engine.Rehype in
   checkb "NiLiHype high" true (nl > 0.88);
   checkb "ReHype high" true (re > 0.88);
   checkb "essentially identical" true (abs_float (nl -. re) < 0.06)
@@ -71,8 +71,8 @@ let test_enhancement_ladder_monotone () =
 
 let test_outcome_one_call () =
   match
-    Core.Experiment.inject_one ~fault:Core.Experiment.Failstop
-      ~mechanism:Core.Experiment.Nilihype ~seed:5L ()
+    Core.Experiment.inject_one ~fault:Inject.Fault.Failstop
+      ~mechanism:Recovery.Engine.Nilihype ~seed:5L ()
   with
   | Inject.Run.Detected d ->
     checkb "recovered" true d.Inject.Run.recovered;
@@ -81,8 +81,8 @@ let test_outcome_one_call () =
 
 let test_sdc_rarer_than_detected_for_code () =
   let r =
-    Core.Experiment.campaign ~fault:Core.Experiment.Code
-      ~mechanism:Core.Experiment.Nilihype ~runs:150 ()
+    Core.Experiment.campaign ~fault:Inject.Fault.Code
+      ~mechanism:Recovery.Engine.Nilihype ~runs:150 ()
   in
   let _, sdc, det = Inject.Campaign.breakdown r in
   checkb "SDC < detected (Code faults)" true (sdc < det)

@@ -3,7 +3,8 @@
    epoch-scoped readback), the failure-signature grammar, the
    commutative triage merge with min-seed exemplars, and end-to-end
    determinism of campaign / endurance triage across --jobs and
-   --fanout splits, including repro-line fidelity. *)
+   --fanout splits, including repro-line fidelity, and the run
+   vocabulary those repro lines and resume fingerprints print. *)
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -317,6 +318,114 @@ let test_endurance_triage () =
           (String.length b.Obs.Postmortem.pm_repro > 0))
     (Obs.Postmortem.Triage.snapshot seq.Endure.totals.Endure.triage)
 
+(* ------------------------- Run vocabulary --------------------------- *)
+
+(* A non-default config on every axis. The expected strings are the
+   ones saved repros, checkpoints and corpora already hold: changing a
+   single byte breaks every resume and replay of those files. *)
+let pinned_cfg =
+  Inject.Vocab.config
+    ~base:
+      {
+        Inject.Run.default_config with
+        Inject.Run.fault = Inject.Fault.Code;
+        setup = Inject.Run.One_appvm Workloads.Workload.Unixbench;
+        seed = 10_007L;
+      }
+    (Inject.Run.Mech (Recovery.Engine.Rehype, Recovery.Enhancement.full_set))
+
+let pinned_fuzz =
+  {
+    (Fuzz.Session.default_config ~base_seed:9_000L) with
+    Fuzz.Session.f_base = pinned_cfg;
+    f_runs = 48;
+    f_batch = 12;
+  }
+
+let pinned_endure budget =
+  {
+    Endure.run_cfg = pinned_cfg;
+    cycles = 5;
+    settle_activities = 120;
+    leak_budget_pages = budget;
+  }
+
+let test_vocab_repro_lines () =
+  checks "campaign"
+    "nlh_campaign --mech rehype --fault code --setup 1appvm --runs 1 --seed \
+     10007 --jobs 1"
+    (Inject.Postmortem.repro_line pinned_cfg ~seed:10_007L ~runs:1 ~fanout:1);
+  checks "campaign fan-out"
+    "nlh_campaign --mech rehype --fault code --setup 1appvm --runs 8 --seed \
+     10007 --jobs 1 --fanout 4"
+    (Inject.Postmortem.repro_line pinned_cfg ~seed:10_007L ~runs:8 ~fanout:4);
+  checks "endurance"
+    "nlh_endurance --mech rehype --fault code --cycles 10 --scenarios 1 \
+     --seed 10007 --jobs 1"
+    (Endure.repro_line pinned_cfg ~cycles:10);
+  checks "fuzz" "nlh_fuzz --mech rehype --setup 1appvm --seed 9000 --replay 1,2,3"
+    (Fuzz.Session.repro_line pinned_fuzz [ 1; 2; 3 ]);
+  checkb "bundle config fields" true
+    (Inject.Postmortem.config_fields pinned_cfg ~fanout:4
+    = [
+        ("mech", "rehype");
+        ("fault", "code");
+        ("setup", "1appvm");
+        ("fanout", "4");
+      ])
+
+let test_vocab_fingerprints () =
+  checks "campaign"
+    "campaign;mech=rehype;fault=code;setup=1appvm;base_seed=10000;n=64"
+    (Inject.Campaign.fingerprint ~base_seed:10_000L ~n:64 pinned_cfg);
+  checks "endurance"
+    "endurance;mech=rehype;fault=code;setup=1appvm;cycles=5;settle=120;\
+     budget=8;base_seed=77000;n=4"
+    (Endure.fingerprint ~base_seed:77_000L ~scenarios:4 (pinned_endure (Some 8)));
+  checks "endurance, no budget"
+    "endurance;mech=rehype;fault=code;setup=1appvm;cycles=5;settle=120;\
+     budget=none;base_seed=77000;n=4"
+    (Endure.fingerprint ~base_seed:77_000L ~scenarios:4 (pinned_endure None));
+  checks "fuzz" "fuzz;mech=rehype;setup=1appvm;base_seed=9000;runs=48;batch=12"
+    (Fuzz.Session.fingerprint pinned_fuzz)
+
+(* Every name parses through its binary-facing [Arg] spec and prints back
+   to itself, and each mechanism carries the hypervisor build it needs. *)
+let test_vocab_round_trip () =
+  let parses (flag, spec, doc) r name =
+    Arg.parse_argv ~current:(ref 0)
+      [| "tool"; flag; name |]
+      [ (flag, spec, doc) ]
+      Inject.Vocab.no_positional "";
+    !r
+  in
+  let round_trip spec_of table printer default =
+    List.iter
+      (fun (name, v) ->
+        let r = ref default in
+        checkb (name ^ " parses") true (parses (spec_of r) r name = v);
+        checks (name ^ " prints") name (printer v))
+      table
+  in
+  round_trip Inject.Vocab.mech_spec Inject.Vocab.mechs Inject.Vocab.mech_name
+    Inject.Run.No_recovery;
+  round_trip Inject.Vocab.fault_spec Inject.Vocab.faults
+    Inject.Vocab.fault_name Inject.Fault.Data;
+  round_trip Inject.Vocab.setup_spec Inject.Vocab.setups
+    Inject.Vocab.setup_name Inject.Run.Three_appvm;
+  List.iter
+    (fun (name, hv) ->
+      let cfg = Inject.Vocab.config (List.assoc name Inject.Vocab.mechs) in
+      checkb (name ^ " hv_config") true (cfg.Inject.Run.hv_config = hv))
+    [
+      ("nilihype", Hyper.Config.nilihype);
+      ("rehype", Hyper.Config.rehype);
+      ("none", Hyper.Config.stock);
+    ];
+  checkb "default config is nilihype" true
+    (Inject.Vocab.config Inject.Run.default_config.Inject.Run.mech
+    = Inject.Run.default_config)
+
 let () =
   Alcotest.run "postmortem"
     [
@@ -346,4 +455,10 @@ let () =
         ] );
       ( "endurance",
         [ Alcotest.test_case "death triage" `Slow test_endurance_triage ] );
+      ( "vocab",
+        [
+          Alcotest.test_case "repro lines pinned" `Quick test_vocab_repro_lines;
+          Alcotest.test_case "fingerprints pinned" `Quick test_vocab_fingerprints;
+          Alcotest.test_case "names round-trip" `Quick test_vocab_round_trip;
+        ] );
     ]
