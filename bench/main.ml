@@ -360,6 +360,26 @@ let microbench () =
       Test.make ~name:"pfn_scan_64k_frames"
         (Staged.stage (fun () ->
              ignore (Hyper.Pfn.scan_and_fix hv.Hyper.Hypervisor.pfn)));
+      Test.make ~name:"pfn_count_inconsistent_64k"
+        (Staged.stage (fun () ->
+             ignore (Hyper.Pfn.count_inconsistent hv.Hyper.Hypervisor.pfn)));
+      (* Dirty 200 consecutive frames (one allocation burst), refresh the
+         golden image; dirty them again with a write, rewind. The table
+         ends each iteration unchanged. *)
+      Test.make ~name:"pfn_snapshot_restore"
+        (Staged.stage (fun () ->
+             let pfn = hv.Hyper.Hypervisor.pfn in
+             let frame k = Hyper.Pfn.get pfn (4096 + k) in
+             for k = 0 to 199 do
+               Hyper.Pfn.touch (frame k)
+             done;
+             Hyper.Pfn.snapshot pfn;
+             for k = 0 to 199 do
+               let d = frame k in
+               Hyper.Pfn.touch d;
+               d.Hyper.Pfn.use_count <- d.Hyper.Pfn.use_count + 1
+             done;
+             Hyper.Pfn.restore pfn));
       Test.make ~name:"microreset_recover"
         (Staged.stage (fun () ->
              Array.iter Hyper.Percpu.irq_enter hv.Hyper.Hypervisor.percpu;

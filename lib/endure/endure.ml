@@ -832,15 +832,11 @@ let run ?(label = "") ?(base_seed = 77_000L) ?(jobs = 1) ?chunk
           (a, wa, sa, mwa))
         ()
     in
-    let used_jobs =
-      let j = max 1 (min jobs (max 1 scenarios)) in
-      if oversubscribe then j else min j (Inject.Pool.default_jobs ())
-    in
     {
       config_label = label;
       cfg;
       totals;
-      jobs = used_jobs;
+      jobs = Inject.Pool.used_jobs ~jobs ~oversubscribe ~n:scenarios ();
       wall_seconds = Unix.gettimeofday () -. t0;
       minor_words = !minor_words;
     }
@@ -924,15 +920,11 @@ let run ?(label = "") ?(base_seed = 77_000L) ?(jobs = 1) ?chunk
         minor_total := !minor_total +. !minor_words)
       ();
     write_ck ();
-    let used_jobs =
-      let j = max 1 (min jobs (max 1 n_chunks)) in
-      if oversubscribe then j else min j (Inject.Pool.default_jobs ())
-    in
     {
       config_label = label;
       cfg;
       totals = merged;
-      jobs = used_jobs;
+      jobs = Inject.Pool.used_jobs ~jobs ~oversubscribe ~n:n_chunks ();
       wall_seconds = Unix.gettimeofday () -. t0;
       minor_words = !minor_total;
     }

@@ -498,17 +498,10 @@ let run ?(label = "") ?(base_seed = 10_000L) ?(jobs = 1) ?chunk
           a)
         ()
     in
-    let used_jobs =
-      (* Mirror the pool's clamps so the report shows the worker count
-         that actually ran: bounded by the work-item count and, unless
-         oversubscribing, by the core count. *)
-      let j = max 1 (min jobs (max 1 pool_n)) in
-      if oversubscribe then j else min j (Pool.default_jobs ())
-    in
     {
       config_label = label;
       totals = acc.acc_totals;
-      jobs = used_jobs;
+      jobs = Pool.used_jobs ~jobs ~oversubscribe ~n:pool_n ();
       wall_seconds = Unix.gettimeofday () -. t0;
       minor_words = acc.acc_minor_words;
     }
@@ -592,14 +585,10 @@ let run ?(label = "") ?(base_seed = 10_000L) ?(jobs = 1) ?chunk
     (* Always leave a final consistent file, even when [ck_every] did
        not divide the published count (or nothing ran at all). *)
     write_ck ();
-    let used_jobs =
-      let j = max 1 (min jobs (max 1 n_chunks)) in
-      if oversubscribe then j else min j (Pool.default_jobs ())
-    in
     {
       config_label = label;
       totals = merged;
-      jobs = used_jobs;
+      jobs = Pool.used_jobs ~jobs ~oversubscribe ~n:n_chunks ();
       wall_seconds = Unix.gettimeofday () -. t0;
       minor_words = !minor_total;
     }

@@ -84,6 +84,90 @@ let test_pfn_scan_idempotent () =
   ignore (Hyper.Pfn.scan_and_fix t);
   checki "second scan fixes nothing" 0 (Hyper.Pfn.scan_and_fix t)
 
+let test_pfn_untracked_write_needs_full_scan () =
+  (* A write that bypasses [touch] never reaches the dirty stack, so only
+     the full walks see it -- why the audit oracle and the recovery
+     fallback stay full scans. *)
+  let t = Hyper.Pfn.create ~frames:64 in
+  let d = Hyper.Pfn.alloc_frame t ~owner:1 ~ptype:Hyper.Pfn.Page_table in
+  Hyper.Pfn.snapshot t;
+  d.Hyper.Pfn.use_count <- 0;
+  checki "not dirty" 0 (Hyper.Pfn.dirty_count t);
+  checki "audit counts it" 1 (Hyper.Pfn.count_inconsistent t);
+  checki "dirty scan misses it" 0 (Hyper.Pfn.scan_and_fix_dirty t);
+  checki "still inconsistent" 1 (Hyper.Pfn.count_inconsistent t);
+  checki "full scan repairs it" 1 (Hyper.Pfn.scan_and_fix t);
+  checki "consistent" 0 (Hyper.Pfn.count_inconsistent t);
+  checkb "returned to free" true (d.Hyper.Pfn.ptype = Hyper.Pfn.Free)
+
+(* Write a field pattern covering every page type, both validation
+   states, owner -1 and wild counts ([max_int], -5) through [touch]. *)
+let pfn_scribble t i ~salt =
+  let types = Hyper.Pfn.[| Free; Writable; Page_table; Segdesc; Shared; Xenheap |] in
+  let counts = [| 0; 1; 7; max_int; -5; 1_000_001 |] in
+  let owners = [| -1; 0; 3; 200 |] in
+  let d = Hyper.Pfn.get t i in
+  Hyper.Pfn.touch d;
+  d.Hyper.Pfn.validated <- (i + salt) land 1 = 0;
+  d.Hyper.Pfn.use_count <- counts.((i + salt) mod 6);
+  d.Hyper.Pfn.ptype <- types.(((i / 2) + salt) mod 6);
+  d.Hyper.Pfn.owner <- owners.(((i / 3) + salt) mod 4)
+
+let pfn_fields t =
+  Array.init (Hyper.Pfn.frames t) (fun i ->
+      let d = Hyper.Pfn.get t i in
+      Hyper.Pfn.(d.validated, d.use_count, d.ptype, d.owner))
+
+(* Index of the first frame whose fields differ, or -1. *)
+let first_mismatch a b =
+  let rec go i =
+    if i >= Array.length a then -1 else if a.(i) <> b.(i) then i else go (i + 1)
+  in
+  go 0
+
+let test_pfn_restore_exact_past_stack_capacity () =
+  let t = Hyper.Pfn.create ~frames:2048 in
+  (* Scattered orders; 7 and 5 are coprime with 2048, so no repeats. *)
+  for k = 0 to 999 do
+    pfn_scribble t (k * 7 mod 2048) ~salt:0
+  done;
+  Hyper.Pfn.snapshot t;
+  let golden = pfn_fields t in
+  (* Well past the dirty stack's initial capacity: it must grow. *)
+  for k = 0 to 1499 do
+    pfn_scribble t (k * 5 mod 2048) ~salt:1
+  done;
+  checki "all dirtied frames tracked" 1500 (Hyper.Pfn.dirty_count t);
+  Hyper.Pfn.restore t;
+  checki "stack drained" 0 (Hyper.Pfn.dirty_count t);
+  checki "first frame differing from its snapshot" (-1)
+    (first_mismatch golden (pfn_fields t))
+
+let test_pfn_reset_rewinds_baseline () =
+  let t = Hyper.Pfn.create ~frames:512 in
+  let fresh = pfn_fields t in
+  for i = 0 to 299 do
+    pfn_scribble t i ~salt:0
+  done;
+  Hyper.Pfn.snapshot t;
+  for i = 100 to 399 do
+    pfn_scribble t i ~salt:1
+  done;
+  Hyper.Pfn.reset t;
+  checki "reset drains dirty" 0 (Hyper.Pfn.dirty_count t);
+  checki "reset: first frame differing from create" (-1)
+    (first_mismatch fresh (pfn_fields t));
+  (* The golden image was rewound too: writes after the reset roll back
+     to the created state, not to the pre-reset snapshot. *)
+  for i = 0 to 399 do
+    pfn_scribble t i ~salt:2
+  done;
+  Hyper.Pfn.restore t;
+  checki "restore: first frame differing from create" (-1)
+    (first_mismatch fresh (pfn_fields t));
+  checki "first allocation" 0
+    (Hyper.Pfn.alloc_frame t ~owner:1 ~ptype:Hyper.Pfn.Writable).Hyper.Pfn.index
+
 (* ------------------------- Spinlock --------------------------------- *)
 
 let test_lock_acquire_release () =
@@ -597,6 +681,12 @@ let () =
           Alcotest.test_case "scan fixes orphan typed page" `Quick
             test_pfn_scan_fixes_orphan_typed_page;
           Alcotest.test_case "scan idempotent" `Quick test_pfn_scan_idempotent;
+          Alcotest.test_case "untracked write needs full scan" `Quick
+            test_pfn_untracked_write_needs_full_scan;
+          Alcotest.test_case "restore exact past stack capacity" `Quick
+            test_pfn_restore_exact_past_stack_capacity;
+          Alcotest.test_case "reset rewinds baseline" `Quick
+            test_pfn_reset_rewinds_baseline;
         ] );
       ( "spinlock",
         [

@@ -599,6 +599,17 @@ let test_pool_default_chunk_capped () =
   checki "cap value" 4096 Inject.Pool.default_chunk_cap;
   checki "floor of 1" 1 (Inject.Pool.default_chunk ~n:3 ~jobs:8)
 
+let test_pool_used_jobs () =
+  (* The worker count every pool run uses and every report prints. *)
+  let used = Inject.Pool.used_jobs in
+  let cores = Inject.Pool.default_jobs () in
+  checki "at least one" 1 (used ~jobs:0 ~n:10 ());
+  checki "no items" 1 (used ~jobs:4 ~oversubscribe:true ~n:0 ());
+  checki "bounded by items" 3 (used ~jobs:8 ~oversubscribe:true ~n:3 ());
+  checki "oversubscribed" 8 (used ~jobs:8 ~oversubscribe:true ~n:100 ());
+  checki "bounded by cores" (min 8 cores) (used ~jobs:8 ~n:100 ());
+  checki "default" (min cores 100) (used ~n:100 ())
+
 (* ------------------------- Overhead --------------------------------- *)
 
 let test_overhead_logging_costs_cycles () =
@@ -675,6 +686,7 @@ let () =
           Alcotest.test_case "pool coverage exact" `Quick test_pool_coverage_exact;
           Alcotest.test_case "default chunk capped" `Quick
             test_pool_default_chunk_capped;
+          Alcotest.test_case "pool used jobs" `Quick test_pool_used_jobs;
         ] );
       ( "reuse",
         [
