@@ -619,6 +619,137 @@ let scaling () =
 (* Written to BENCH_alloc.json.                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* Per-activity attribution: the activity loop of a NiLiHype/Register
+   run (warmup plus post-trigger activities, no fault armed -- most
+   register runs never detect) split by activity kind, plus the sampler
+   itself. Driven from the harness exactly as [Run.run_one_activity]
+   runs it ([Run.think], [System_mix.sample], [Run.execute_sampled]),
+   with each sample and execute bracketed by [Gc.minor_words] and the
+   monotonic clock; the hot path carries no instrumentation. The [n]
+   seeds are replayed [passes] times: every pass makes the same calls
+   and allocates the same words, and ns/call is the fastest pass's,
+   which drops passes slowed by other load on the host. The bracket's
+   own cost, timed the same way over empty brackets, is subtracted. *)
+type activity_row = {
+  mutable calls : int; (* this pass *)
+  mutable words : float; (* this pass *)
+  mutable ns : float; (* this pass *)
+  mutable best_ns : float; (* per call, fastest pass so far *)
+}
+
+let new_row () = { calls = 0; words = 0.0; ns = 0.0; best_ns = infinity }
+
+let activity_row_name : Hyper.Hypervisor.activity -> string = function
+  | Timer_tick _ -> "timer_tick"
+  | Context_switch _ -> "ctx_switch"
+  | Device_interrupt _ -> "dev_irq"
+  | Idle_poll _ -> "idle"
+  | Syscall_forward _ -> "syscall"
+  | Hypercall { kind; _ } -> Hyper.Hypercalls.static_name kind
+
+let activity_attribution ~n ~passes =
+  let cfg = { Inject.Run.default_config with Inject.Run.fault = Inject.Fault.Register } in
+  let w = Inject.Run.prepare cfg in
+  let rows = Hashtbl.create 32 in
+  let row name =
+    match Hashtbl.find_opt rows name with
+    | Some r -> r
+    | None ->
+      let r = new_row () in
+      Hashtbl.replace rows name r;
+      r
+  in
+  let sample_row = row "sample" and bracket_row = new_row () in
+  (* One bracketed call: the clock is read outside the words bracket,
+     so a boxed clock value never lands in a row's words. *)
+  let bracket f =
+    let t0 = Monotonic_clock.now () in
+    let w0 = Gc.minor_words () in
+    let x = f () in
+    let w1 = Gc.minor_words () in
+    let t1 = Monotonic_clock.now () in
+    (x, w1 -. w0, Int64.to_float (Int64.sub t1 t0))
+  in
+  let add r (_, words, ns) =
+    r.calls <- r.calls + 1;
+    r.words <- r.words +. words;
+    r.ns <- r.ns +. ns
+  in
+  let all_rows () = bracket_row :: List.of_seq (Hashtbl.to_seq_values rows) in
+  let activities = cfg.Inject.Run.warmup_activities + cfg.Inject.Run.post_activities in
+  for _ = 1 to passes do
+    List.iter
+      (fun r ->
+        r.calls <- 0;
+        r.words <- 0.0;
+        r.ns <- 0.0)
+      (all_rows ());
+    for i = 0 to n - 1 do
+      let cfg = { cfg with Inject.Run.seed = Int64.add 90_000L (Int64.of_int i) } in
+      Inject.Run.rewind w cfg;
+      let st = Inject.Run.make_state cfg w.Inject.Run.w_rng w.Inject.Run.w_hv in
+      Inject.Run.install_cpu_tracker st;
+      for _ = 1 to activities do
+        Inject.Run.think st;
+        let ((a, _, _) as s) =
+          bracket (fun () -> Workloads.System_mix.sample st.Inject.Run.rng st.Inject.Run.mix)
+        in
+        add sample_row s;
+        add (row (activity_row_name a)) (bracket (fun () -> Inject.Run.execute_sampled st a));
+        add bracket_row (bracket (fun () -> ()))
+      done
+    done;
+    List.iter
+      (fun r ->
+        if r.calls > 0 then r.best_ns <- Float.min r.best_ns (r.ns /. float_of_int r.calls))
+      (all_rows ())
+  done;
+  let overhead = bracket_row.best_ns in
+  let order =
+    [ "sample"; "timer_tick"; "ctx_switch"; "dev_irq"; "idle"; "syscall" ]
+  in
+  let hypercalls =
+    Hashtbl.fold (fun k _ acc -> if List.mem k order then acc else k :: acc) rows []
+    |> List.sort compare
+  in
+  let runs = float_of_int n in
+  Format.printf
+    "  per-activity cost, NiLiHype/Register, %d runs, fastest of %d passes (bracket \
+     %.0f ns):@."
+    n passes overhead;
+  Format.printf "  %-22s %10s %12s %10s@." "activity" "calls/run" "words/call" "ns/call";
+  let table =
+    List.filter_map
+      (fun name ->
+        match Hashtbl.find_opt rows name with
+        | None -> None
+        | Some r ->
+          let calls = float_of_int r.calls in
+          let per_run = calls /. runs
+          and words = r.words /. calls
+          and ns = Float.max 0.0 (r.best_ns -. overhead) in
+          Format.printf "  %-22s %10.1f %12.2f %10.0f@." name per_run words ns;
+          Some
+            Obs.Json.(
+              Obj
+                [
+                  ("activity", String name);
+                  ("calls_per_run", Number per_run);
+                  ("minor_words_per_call", Number words);
+                  ("ns_per_call", Number ns);
+                ]))
+      (order @ hypercalls)
+  in
+  Obs.Json.(
+    Obj
+      [
+        ("config", String "NiLiHype/Register, 3AppVM, no fault armed");
+        ("runs", of_int n);
+        ("passes", of_int passes);
+        ("bracket_ns", Number overhead);
+        ("rows", List table);
+      ])
+
 let alloc () =
   hr "Allocation attribution by run phase";
   tune_gc_for_campaigns ();
@@ -706,6 +837,7 @@ let alloc () =
              name (counter name) sums.(pi)))
     phases;
   Format.printf "alloc.* counters bit-identical for jobs=1,2,4 (n=%d)@." n;
+  let activities = activity_attribution ~n ~passes:5 in
   Obs.Json.write_file !alloc_out
     Obs.Json.(
       Obj
@@ -722,6 +854,7 @@ let alloc () =
                  (fun pi p ->
                    (Obs.Recorder.alloc_phase_name p, Number (per_run sums.(pi))))
                  phases) );
+          ("activities", activities);
         ]);
   Format.printf "wrote %s@." !alloc_out
 

@@ -4,7 +4,9 @@
     assertion (detected immediately by Xen's built-in panic path). A
     [Hang] models a CPU stuck in the hypervisor (spinning on a dead lock,
     broken data structure loop); it is detected by the NMI watchdog after
-    roughly three 100 ms periods. *)
+    roughly three 100 ms periods. A failed assertion is a [Panic] whose
+    message starts with ["ASSERT: "]; the asserting code tests its
+    condition inline and calls [assert_failed] only when it fails. *)
 
 type detection =
   | Panic of string
@@ -15,15 +17,13 @@ exception Hypervisor_crash of detection
 let panic fmt = Format.kasprintf (fun s -> raise (Hypervisor_crash (Panic s))) fmt
 let hang fmt = Format.kasprintf (fun s -> raise (Hypervisor_crash (Hang s))) fmt
 
-(* Xen asserts liberally; failed assertions are panics. The passing case
-   must not format (it is on the injection hot path), so the message is
-   only rendered when the assertion actually fails. *)
-let hv_assert cond fmt =
-  if cond then Format.ikfprintf ignore Format.str_formatter fmt
-  else
-    Format.kasprintf
-      (fun s -> raise (Hypervisor_crash (Panic ("ASSERT: " ^ s))))
-      fmt
+(* Xen asserts liberally; failed assertions are panics. Call sites test
+   the condition themselves, [if not cond then assert_failed fmt ...], so
+   a passing assertion costs one branch: applying a format, even to
+   [Format.ikfprintf], allocates and walks the format on every call, and
+   the assertions sit on the injection hot path. *)
+let assert_failed fmt =
+  Format.kasprintf (fun s -> raise (Hypervisor_crash (Panic ("ASSERT: " ^ s)))) fmt
 
 (* Panics trap immediately; hangs wait for the NMI watchdog, i.e.
    [Config.watchdog_hang_periods] ticks of the configured period

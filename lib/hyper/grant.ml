@@ -44,8 +44,9 @@ let find_free t =
 
 let map t ~slot ~by =
   let e = t.entries.(slot) in
-  Crash.hv_assert e.in_use "grant map of unused slot %d" slot;
-  Crash.hv_assert (e.mapped_by = -1) "grant slot %d already mapped" slot;
+  if not e.in_use then Crash.assert_failed "grant map of unused slot %d" slot;
+  if not (e.mapped_by = -1) then
+    Crash.assert_failed "grant slot %d already mapped" slot;
   e.mapped_by <- by
 
 let unmap t ~slot =

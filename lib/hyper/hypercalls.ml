@@ -97,7 +97,7 @@ type record = {
   journal : Journal.t;
 }
 
-let make_record ?(enhanced = true) ~logging kind =
+let make_record ~enhanced ~logging kind =
   let journal = Journal.create () in
   Journal.set_enabled journal (logging && enhanced);
   {

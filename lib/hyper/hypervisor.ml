@@ -100,6 +100,9 @@ let geometry t =
   | None ->
     { Config.frames = Pfn.frames t.pfn; cpus = Hw.Machine.num_cpus t.machine }
 
+(* The dispatch paths match on [Hashtbl.find t.domains] with an
+   [exception Not_found] case instead: [find_opt]'s [Some] is a fresh
+   allocation per lookup, and they look up a domain per activity. *)
 let domain t domid = Hashtbl.find_opt t.domains domid
 
 let all_domains t =
@@ -524,7 +527,7 @@ let journal_tail t = Obs.Flight.tail t.journal_flight
 
 type lock_image = {
   il_lock : Spinlock.t;
-  il_holder : int option;
+  il_holder : int;
   il_acquisitions : int;
 }
 
@@ -571,7 +574,9 @@ type percpu_image = {
   ip_in_hypercall_depth : int;
   ip_curr_domid : int;
   ip_curr_vcpuid : int;
-  ip_saved_guest_fsgs : (int64 * int64) option;
+  ip_fsgs_saved : bool;
+  ip_saved_fs : int64;
+  ip_saved_gs : int64;
   ip_heap_lock : lock_image;
 }
 
@@ -702,7 +707,9 @@ let snapshot t =
             ip_in_hypercall_depth = p.Percpu.in_hypercall_depth;
             ip_curr_domid = p.Percpu.curr_domid;
             ip_curr_vcpuid = p.Percpu.curr_vcpuid;
-            ip_saved_guest_fsgs = p.Percpu.saved_guest_fsgs;
+            ip_fsgs_saved = p.Percpu.fsgs_saved;
+            ip_saved_fs = p.Percpu.saved_fs;
+            ip_saved_gs = p.Percpu.saved_gs;
             ip_heap_lock = capture_lock p.Percpu.heap_lock;
           })
         t.percpu;
@@ -740,7 +747,9 @@ let restore t (im : image) =
       p.Percpu.in_hypercall_depth <- s.ip_in_hypercall_depth;
       p.Percpu.curr_domid <- s.ip_curr_domid;
       p.Percpu.curr_vcpuid <- s.ip_curr_vcpuid;
-      p.Percpu.saved_guest_fsgs <- s.ip_saved_guest_fsgs;
+      p.Percpu.fsgs_saved <- s.ip_fsgs_saved;
+      p.Percpu.saved_fs <- s.ip_saved_fs;
+      p.Percpu.saved_gs <- s.ip_saved_gs;
       restore_lock s.ip_heap_lock)
     t.percpu;
   Array.blit im.im_runq 0 t.sched.Sched.runq 0 (Array.length im.im_runq);
@@ -1209,9 +1218,10 @@ let rec first_unbound_chan (chans : Evtchn.chan array) i =
 let rec exec_hypercall_body t rng journal cpu (vcpu : Domain.vcpu)
     (record : Hypercalls.record) (kind : Hypercalls.kind) =
   let dom =
-    match domain t vcpu.Domain.domid with
-    | Some d -> d
-    | None -> Crash.panic "hypercall from dead domain %d" vcpu.Domain.domid
+    match Hashtbl.find t.domains vcpu.Domain.domid with
+    | d -> d
+    | exception Not_found ->
+      Crash.panic "hypercall from dead domain %d" vcpu.Domain.domid
   in
   Domain.check_struct dom;
   match kind with
@@ -1292,14 +1302,14 @@ let run_timer_action t cpu (e : Timer_heap.event) =
     done
   | Timer_heap.Vcpu_timer (domid, vid) -> (
     step t "vcpu_timer";
-    match domain t domid with
-    | Some d when d.Domain.alive ->
+    match Hashtbl.find t.domains domid with
+    | d when d.Domain.alive ->
       let v = Domain.vcpu d vid in
       if v.Domain.runstate = Domain.Blocked then begin
         v.Domain.runstate <- Domain.Runnable;
         Sched.enqueue t.sched v
       end
-    | Some _ | None -> ())
+    | _ | (exception Not_found) -> ())
   | Timer_heap.Generic_oneshot -> step t "oneshot"
   [@@warning "-27"]
 
@@ -1324,9 +1334,9 @@ let do_context_switch t cpu =
       (* The assertion-rich part of Xen's schedule(): metadata must
          agree before the switch. *)
       step t "assert_consistent";
-      Crash.hv_assert prev.Domain.is_current
-        "schedule: cpu%d prev d%dv%d lost is_current" cpu prev.Domain.domid
-        prev.Domain.vid;
+      if not prev.Domain.is_current then
+        Crash.assert_failed "schedule: cpu%d prev d%dv%d lost is_current" cpu
+          prev.Domain.domid prev.Domain.vid;
       if prev.Domain.curr_slot <> cpu then
         (* Disagreement that does not trip an assertion restores a
            stale context instead. *)
@@ -1429,8 +1439,8 @@ let do_device_interrupt t ~line ~target_dom =
     step t "irq_enter";
     Percpu.irq_enter percpu;
     Hw.Apic.begin_service apic vector;
-    (match domain t target_dom with
-    | Some dom when dom.Domain.alive ->
+    (match Hashtbl.find t.domains target_dom with
+    | dom when dom.Domain.alive ->
       step t "lock_evtchn";
       Spinlock.acquire dom.Domain.evtchn.Evtchn.lock ~cpu;
       step t "notify_guest";
@@ -1443,7 +1453,7 @@ let do_device_interrupt t ~line ~target_dom =
       done;
       step t "unlock_evtchn";
       Spinlock.release dom.Domain.evtchn.Evtchn.lock ~cpu
-    | Some _ | None -> ());
+    | _ | (exception Not_found) -> ());
     step t "apic_eoi";
     Hw.Apic.eoi apic vector;
     step t "irq_exit";
@@ -1498,10 +1508,7 @@ let do_hypercall t rng ~cpu (vcpu : Domain.vcpu) kind ~retry_of =
   if t.config.Config.save_fs_gs then begin
     (* The x86-64 port fix: explicitly save the guest's FS/GS. *)
     Cycle_account.charge t.cycles 30;
-    percpu.Percpu.saved_guest_fsgs <-
-      Some
-        ( Hw.Regs.get vcpu.Domain.guest_regs Hw.Regs.FS,
-          Hw.Regs.get vcpu.Domain.guest_regs Hw.Regs.GS )
+    Percpu.save_guest_fsgs percpu vcpu.Domain.guest_regs
   end;
   vcpu.Domain.in_hypercall <- Some record;
   exec_hypercall_body t rng journal cpu vcpu record kind;
@@ -1518,7 +1525,7 @@ let do_hypercall t rng ~cpu (vcpu : Domain.vcpu) kind ~retry_of =
   step t "hypercall_exit";
   vcpu.Domain.in_hypercall <- None;
   vcpu.Domain.retry_pending <- false;
-  percpu.Percpu.saved_guest_fsgs <- None;
+  Percpu.clear_guest_fsgs percpu;
   percpu.Percpu.in_hypercall_depth <- max 0 (percpu.Percpu.in_hypercall_depth - 1)
 
 let do_syscall_forward t ~cpu (vcpu : Domain.vcpu) =
@@ -1526,17 +1533,14 @@ let do_syscall_forward t ~cpu (vcpu : Domain.vcpu) =
   step t "syscall_entry";
   Cycle_account.note_entry t.cycles;
   if t.config.Config.save_fs_gs then
-    percpu.Percpu.saved_guest_fsgs <-
-      Some
-        ( Hw.Regs.get vcpu.Domain.guest_regs Hw.Regs.FS,
-          Hw.Regs.get vcpu.Domain.guest_regs Hw.Regs.GS );
+    Percpu.save_guest_fsgs percpu vcpu.Domain.guest_regs;
   vcpu.Domain.in_syscall_forward <- true;
   step ~cycles:60 t "decode_target";
   step t "forward_to_kernel";
   step t "syscall_exit";
   vcpu.Domain.in_syscall_forward <- false;
   vcpu.Domain.syscall_retry_pending <- false;
-  percpu.Percpu.saved_guest_fsgs <- None
+  Percpu.clear_guest_fsgs percpu
 
 let do_idle_poll t cpu =
   step ~cycles:50 t "check_softirq";
@@ -1551,21 +1555,21 @@ let execute t rng activity =
     begin_activity t activity 0;
     do_device_interrupt t ~line ~target_dom
   | Hypercall { domid; vid; kind } ->
-    (match domain t domid with
-    | Some dom when dom.Domain.alive ->
+    (match Hashtbl.find t.domains domid with
+    | dom when dom.Domain.alive ->
       let vcpu = Domain.vcpu dom vid in
       let cpu = vcpu.Domain.processor in
       begin_activity t activity cpu;
       do_hypercall t rng ~cpu vcpu kind ~retry_of:None
-    | Some _ | None -> ())
+    | _ | (exception Not_found) -> ())
   | Syscall_forward { domid; vid } ->
-    (match domain t domid with
-    | Some dom when dom.Domain.alive ->
+    (match Hashtbl.find t.domains domid with
+    | dom when dom.Domain.alive ->
       let vcpu = Domain.vcpu dom vid in
       let cpu = vcpu.Domain.processor in
       begin_activity t activity cpu;
       do_syscall_forward t ~cpu vcpu
-    | Some _ | None -> ())
+    | _ | (exception Not_found) -> ())
   | Context_switch cpu ->
     begin_activity t activity cpu;
     ignore (do_context_switch t cpu)

@@ -13,7 +13,12 @@ type t = {
   mutable in_hypercall_depth : int;
   mutable curr_domid : int; (* authoritative: domain running on this CPU *)
   mutable curr_vcpuid : int;
-  mutable saved_guest_fsgs : (int64 * int64) option;
+  (* Guest FS/GS bases saved on hypervisor entry (the x86-64 port fix),
+     meaningful while [fsgs_saved]. Plain fields, so saving them on every
+     entry allocates nothing. *)
+  mutable fsgs_saved : bool;
+  mutable saved_fs : int64;
+  mutable saved_gs : int64;
   heap_lock : Spinlock.t; (* per-CPU scheduler/timer lock, heap-resident *)
 }
 
@@ -31,9 +36,16 @@ let create heap cpu =
     in_hypercall_depth = 0;
     curr_domid = -1;
     curr_vcpuid = -1;
-    saved_guest_fsgs = None;
+    fsgs_saved = false;
+    saved_fs = 0L;
+    saved_gs = 0L;
     heap_lock = lock;
   }
+
+let clear_guest_fsgs t =
+  t.fsgs_saved <- false;
+  t.saved_fs <- 0L;
+  t.saved_gs <- 0L
 
 (* Reset for machine reuse: clear the mutable state and re-allocate the
    two per-CPU heap objects on the (just reset) heap in the same order and
@@ -47,17 +59,23 @@ let reset heap t =
   t.in_hypercall_depth <- 0;
   t.curr_domid <- -1;
   t.curr_vcpuid <- -1;
-  t.saved_guest_fsgs <- None
+  clear_guest_fsgs t
+
+let save_guest_fsgs t (regs : Hw.Regs.t) =
+  t.fsgs_saved <- true;
+  t.saved_fs <- Hw.Regs.get regs Hw.Regs.FS;
+  t.saved_gs <- Hw.Regs.get regs Hw.Regs.GS
 
 let irq_enter t = t.local_irq_count <- t.local_irq_count + 1
 
 let irq_exit t =
-  Crash.hv_assert (t.local_irq_count > 0) "cpu%d: irq_exit with count %d" t.cpu
-    t.local_irq_count;
+  if not (t.local_irq_count > 0) then
+    Crash.assert_failed "cpu%d: irq_exit with count %d" t.cpu t.local_irq_count;
   t.local_irq_count <- t.local_irq_count - 1
 
 let assert_not_in_irq t =
-  Crash.hv_assert (t.local_irq_count = 0)
-    "cpu%d: scheduling while local_irq_count = %d" t.cpu t.local_irq_count
+  if not (t.local_irq_count = 0) then
+    Crash.assert_failed "cpu%d: scheduling while local_irq_count = %d" t.cpu
+      t.local_irq_count
 
 let clear_irq_count t = t.local_irq_count <- 0

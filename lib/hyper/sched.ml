@@ -138,13 +138,12 @@ let schedule t (percpu : Percpu.t) ~cpu =
   Percpu.assert_not_in_irq percpu;
   (match t.curr.(cpu) with
   | Some v ->
-    Crash.hv_assert v.Domain.is_current
-      "schedule: cpu%d current vcpu d%dv%d lacks is_current" cpu
-      v.Domain.domid v.Domain.vid;
-    Crash.hv_assert
-      (v.Domain.curr_slot = cpu)
-      "schedule: cpu%d current vcpu d%dv%d says slot %d" cpu v.Domain.domid
-      v.Domain.vid v.Domain.curr_slot
+    if not v.Domain.is_current then
+      Crash.assert_failed "schedule: cpu%d current vcpu d%dv%d lacks is_current"
+        cpu v.Domain.domid v.Domain.vid;
+    if not (v.Domain.curr_slot = cpu) then
+      Crash.assert_failed "schedule: cpu%d current vcpu d%dv%d says slot %d" cpu
+        v.Domain.domid v.Domain.vid v.Domain.curr_slot
   | None -> ());
   match dequeue t ~cpu with
   | None -> `Keep_current

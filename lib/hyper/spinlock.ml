@@ -20,40 +20,45 @@ type location =
 type t = {
   name : string;
   location : location;
-  mutable holder : int option; (* CPU id of the holder *)
+  mutable holder : int;
+      (* CPU id of the holder, [free] when unheld: a plain int, so taking
+         the lock allocates nothing *)
   mutable acquisitions : int;
 }
 
-let create ~name ~location = { name; location; holder = None; acquisitions = 0 }
+let free = -1
+
+let create ~name ~location = { name; location; holder = free; acquisitions = 0 }
 
 let acquire t ~cpu =
-  match t.holder with
-  | None ->
-    t.holder <- Some cpu;
+  let c = t.holder in
+  if c = free then begin
+    t.holder <- cpu;
     t.acquisitions <- t.acquisitions + 1
-  | Some c when c = cpu ->
+  end
+  else if c = cpu then
     (* Recursive acquisition deadlocks a non-recursive spinlock; Xen's
        debug build asserts on it. *)
     Crash.panic "spinlock %s: recursive acquisition on cpu%d" t.name cpu
-  | Some c ->
+  else
     (* The holder's execution thread no longer exists (it was abandoned
        by a failure), so this spin never ends. *)
     Crash.hang "spinlock %s: spinning (held by dead thread on cpu%d)" t.name c
 
 let release t ~cpu =
-  match t.holder with
-  | Some c when c = cpu -> t.holder <- None
-  | Some c -> Crash.panic "spinlock %s: released by cpu%d, held by cpu%d" t.name cpu c
-  | None -> Crash.panic "spinlock %s: releasing an unheld lock" t.name
+  let c = t.holder in
+  if c = cpu then t.holder <- free
+  else if c = free then Crash.panic "spinlock %s: releasing an unheld lock" t.name
+  else Crash.panic "spinlock %s: released by cpu%d, held by cpu%d" t.name cpu c
 
-let is_held t = t.holder <> None
+let is_held t = t.holder <> free
 
-let force_unlock t = t.holder <- None
+let force_unlock t = t.holder <- free
 
 (* Back to created state (for machine reuse); the lock object itself is
    kept so existing registrations stay valid. *)
 let reset t =
-  t.holder <- None;
+  t.holder <- free;
   t.acquisitions <- 0
 
 (** The static-lock segment: the array the modified linker script

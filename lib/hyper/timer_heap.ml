@@ -255,10 +255,7 @@ let pop t =
 (* Pop the next event if its deadline has passed. The caller runs the
    handler and (for recurring events) must re-insert via [requeue] --
    the re-insert gap is the vulnerability window. *)
-let pop_due t ~now =
-  match peek t with
-  | Some e when e.deadline <= now -> pop t
-  | Some _ | None -> None
+let pop_due t ~now = if t.size > 0 && t.arr.(0).deadline <= now then pop t else None
 
 let requeue t event ~now =
   match event.period with
@@ -269,7 +266,7 @@ let requeue t event ~now =
     event.active <- true;
     push_event t event
 
-let next_deadline t = match peek t with Some e -> Some e.deadline | None -> None
+let next_deadline t = if t.size = 0 then None else Some t.arr.(0).deadline
 
 (* Recovery: find recurring events that are neither queued nor about to
    be re-inserted (their handler was abandoned mid-flight) and re-insert

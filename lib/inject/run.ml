@@ -165,15 +165,18 @@ let boot_hv ?recorder (cfg : config) =
 let boot_state ?recorder cfg =
   make_state cfg (Sim.Rng.create cfg.seed) (boot_hv ?recorder cfg)
 
-(* Execute one sampled activity. Timer ticks fire when the APIC deadline
-   arrives, so the clock jumps there first; a CPU whose APIC is disarmed
-   never gets another tick. Activities are separated by an
-   exponential-ish think-time so software timer deadlines actually come
-   due during a run. *)
-let run_one_activity st =
-  let gap = Sim.Time.us (30 + Sim.Rng.int st.rng 340) in
-  Sim.Clock.advance_by st.hv.Hypervisor.clock gap;
-  let activity = Workloads.System_mix.sample st.rng st.mix in
+(* Execute one sampled activity. Activities are separated by an
+   exponential-ish think-time ([think]) so software timer deadlines
+   actually come due during a run. Timer ticks fire when the APIC
+   deadline arrives, so the clock jumps there first; a CPU whose APIC is
+   disarmed never gets another tick. Split in three so the bench's
+   per-activity attribution can time the sample and the execution
+   apart. *)
+let think st =
+  Sim.Clock.advance_by st.hv.Hypervisor.clock
+    (Sim.Time.us (30 + Sim.Rng.int st.rng 340))
+
+let execute_sampled st (activity : Hypervisor.activity) =
   match activity with
   | Hypervisor.Timer_tick cpu ->
     let apic = (Hw.Machine.cpu st.hv.Hypervisor.machine cpu).Hw.Cpu.apic in
@@ -185,6 +188,10 @@ let run_one_activity st =
         Sim.Clock.advance_to st.hv.Hypervisor.clock d;
       Hypervisor.execute st.hv st.rng activity)
   | _ -> Hypervisor.execute st.hv st.rng activity
+
+let run_one_activity st =
+  think st;
+  execute_sampled st (Workloads.System_mix.sample st.rng st.mix)
 
 (* Track which CPU executes each step so detection knows where it was. *)
 let install_cpu_tracker st =

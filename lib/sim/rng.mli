@@ -36,6 +36,10 @@ val int : t -> int -> int
 val float : t -> float -> float
 (** [float t x] is uniform over [0, x). *)
 
+val chance : t -> float -> bool
+(** [chance t p] is [float t 1.0 < p]: the same single draw, compared
+    without boxing the float. *)
+
 val bool : t -> bool
 
 val bit64 : t -> int

@@ -10,17 +10,24 @@ type t = {
   blk_dom : int option; (* domain receiving block-device completions *)
   net_dom : int option; (* domain receiving network packets *)
   (* Device-interrupt pressure, folded over the benchmarks once at
-     creation (the per-sample fold was pure allocation: every [+.] in a
-     fold closure boxes its accumulator). *)
-  blk_w : float;
-  net_w : float;
+     creation: cumulative weights [| blk; blk +. net |] of the two
+     backends. *)
+  device_cum : float array;
+  (* Every activity [sample] returns outside the guest entries, built
+     once so a sample allocates nothing: the per-CPU activities indexed
+     like [active_cpus] (a single CPU 0 entry when there are none), and
+     the device interrupt each backend choice ([device_cum] index)
+     resolves to -- none when there is no backend domain. *)
+  timer_ticks : Hyper.Hypervisor.activity array;
+  ctx_switches : Hyper.Hypervisor.activity array;
+  idle_polls : Hyper.Hypervisor.activity array;
+  device_irqs : Hyper.Hypervisor.activity array;
 }
 
 let create ~benchmarks ~active_cpus ~blk_dom ~net_dom =
   (* Line 1 = block backend, line 2 = network backend. Device pressure
-     follows the benchmarks that are running. Folded in list order with
-     the same 0.01 floor so the partial sums -- and thus every draw --
-     match the previous per-sample computation bit for bit. *)
+     follows the benchmarks that are running, folded in list order from a
+     0.01 floor: the sums fix every device draw, so that order stays. *)
   let blk_w =
     List.fold_left
       (fun acc (b : Workload.t) -> acc +. fst (Workload.device_share b.Workload.kind))
@@ -30,13 +37,27 @@ let create ~benchmarks ~active_cpus ~blk_dom ~net_dom =
       (fun acc (b : Workload.t) -> acc +. snd (Workload.device_share b.Workload.kind))
       0.01 benchmarks
   in
+  let cpus = match active_cpus with [] -> [| 0 |] | l -> Array.of_list l in
+  let per_cpu f = Array.map f cpus in
+  let irq line d = Hyper.Hypervisor.Device_interrupt { line; target_dom = d } in
+  (* A backend choice with no backend domain falls back to the other. *)
+  let device_irqs =
+    match (blk_dom, net_dom) with
+    | Some b, Some n -> [| irq 1 b; irq 2 n |]
+    | Some b, None -> [| irq 1 b; irq 1 b |]
+    | None, Some n -> [| irq 2 n; irq 2 n |]
+    | None, None -> [||]
+  in
   {
     benchmarks = Array.of_list benchmarks;
     active_cpus = Array.of_list active_cpus;
     blk_dom;
     net_dom;
-    blk_w;
-    net_w;
+    device_cum = [| blk_w; blk_w +. net_w |];
+    timer_ticks = per_cpu (fun c -> Hyper.Hypervisor.Timer_tick c);
+    ctx_switches = per_cpu (fun c -> Hyper.Hypervisor.Context_switch c);
+    idle_polls = per_cpu (fun c -> Hyper.Hypervisor.Idle_poll c);
+    device_irqs;
   }
 
 (* Category weights: guest entries dominate hypervisor execution time,
@@ -53,25 +74,25 @@ let category_weights =
 let category_cum = Sim.Rng.cumulative category_weights
 let category_tags = Array.of_list (List.map snd category_weights)
 
+(* The per-CPU activity of a uniformly drawn active CPU; no draw when
+   there are no active CPUs (the table's single entry is CPU 0's). *)
+let on_random_cpu rng t table =
+  match Array.length t.active_cpus with
+  | 0 -> table.(0)
+  | n -> table.(Sim.Rng.int rng n)
+
 let sample rng t : Hyper.Hypervisor.activity =
-  let random_cpu () =
-    match Array.length t.active_cpus with
-    | 0 -> 0
-    | n -> t.active_cpus.(Sim.Rng.int rng n)
-  in
   match category_tags.(Sim.Rng.choose_index_cum rng category_cum) with
   | `Guest_entry ->
     (match Array.length t.benchmarks with
-    | 0 -> Hyper.Hypervisor.Idle_poll (random_cpu ())
+    | 0 -> on_random_cpu rng t t.idle_polls
     | n -> Workload.sample_activity rng t.benchmarks.(Sim.Rng.int rng n))
-  | `Timer_tick -> Hyper.Hypervisor.Timer_tick (random_cpu ())
+  | `Timer_tick -> on_random_cpu rng t t.timer_ticks
   | `Device_interrupt ->
-    let pick_blk = Sim.Rng.float rng (t.blk_w +. t.net_w) < t.blk_w in
-    (match (pick_blk, t.blk_dom, t.net_dom) with
-    | true, Some d, _ -> Hyper.Hypervisor.Device_interrupt { line = 1; target_dom = d }
-    | false, _, Some d -> Hyper.Hypervisor.Device_interrupt { line = 2; target_dom = d }
-    | true, None, Some d -> Hyper.Hypervisor.Device_interrupt { line = 2; target_dom = d }
-    | false, Some d, None -> Hyper.Hypervisor.Device_interrupt { line = 1; target_dom = d }
-    | _, None, None -> Hyper.Hypervisor.Idle_poll (random_cpu ()))
-  | `Context_switch -> Hyper.Hypervisor.Context_switch (random_cpu ())
-  | `Idle -> Hyper.Hypervisor.Idle_poll (random_cpu ())
+    (* Index 0, the block backend, is drawn when [float (blk +. net) <
+       blk]. With no backend at all the interrupt is an idle poll. *)
+    let backend = Sim.Rng.choose_index_cum rng t.device_cum in
+    if Array.length t.device_irqs = 0 then on_random_cpu rng t t.idle_polls
+    else t.device_irqs.(backend)
+  | `Context_switch -> on_random_cpu rng t t.ctx_switches
+  | `Idle -> on_random_cpu rng t t.idle_polls

@@ -74,69 +74,114 @@ let device_share = function
   | Unixbench -> (0.2, 0.1)
   | Netbench -> (0.1, 0.9)
 
-(* Sampling-time form of the menus: cumulative weights plus the tags in
-   list order, precomputed once per kind. [choose_index_cum] over these
-   draws exactly as [choose_weighted] over the lists above would (same
-   single float draw, same boundaries), without traversing a boxed-float
-   list per request. *)
-let menu_cum_unixbench = Sim.Rng.cumulative (hypercall_menu Unixbench)
-let menu_cum_blkbench = Sim.Rng.cumulative (hypercall_menu Blkbench)
-let menu_cum_netbench = Sim.Rng.cumulative (hypercall_menu Netbench)
-let menu_tags_unixbench = Array.of_list (List.map snd (hypercall_menu Unixbench))
-let menu_tags_blkbench = Array.of_list (List.map snd (hypercall_menu Blkbench))
-let menu_tags_netbench = Array.of_list (List.map snd (hypercall_menu Netbench))
-
-let menu_cum = function
-  | Unixbench -> menu_cum_unixbench
-  | Blkbench -> menu_cum_blkbench
-  | Netbench -> menu_cum_netbench
-
-let menu_tags = function
-  | Unixbench -> menu_tags_unixbench
-  | Blkbench -> menu_tags_blkbench
-  | Netbench -> menu_tags_netbench
-
-let sample_hypercall rng kind : Hyper.Hypercalls.kind =
-  match (menu_tags kind).(Sim.Rng.choose_index_cum rng (menu_cum kind)) with
-  | `Mmu -> Hyper.Hypercalls.Mmu_update (1 + Sim.Rng.int rng 4)
-  | `Va -> Hyper.Hypercalls.Update_va_mapping
-  | `Mem_pop -> Hyper.Hypercalls.Memory_op_populate
-  | `Mem_dec -> Hyper.Hypercalls.Memory_op_decrease
-  | `Grant -> Hyper.Hypercalls.Grant_table_op (1 + Sim.Rng.int rng 3)
-  | `Evt_send -> Hyper.Hypercalls.Event_channel_send
-  | `Block -> Hyper.Hypercalls.Sched_op_block
-  | `Yield -> Hyper.Hypercalls.Sched_op_yield
-  | `Set_timer -> Hyper.Hypercalls.Set_timer_op
-  | `Console -> Hyper.Hypercalls.Console_io
-  | `Vcpu_info -> Hyper.Hypercalls.Vcpu_op_info
+(* Every hypercall a menu tag can produce, one per value of its drawn
+   argument: [Mmu_update (1 + Rng.int rng 4)] becomes four kinds picked
+   by that same [Rng.int rng 4] draw. Tags with one kind draw nothing. *)
+let tag_kinds : _ -> Hyper.Hypercalls.kind array = function
+  | `Mmu -> Array.init 4 (fun i -> Hyper.Hypercalls.Mmu_update (1 + i))
+  | `Va -> [| Hyper.Hypercalls.Update_va_mapping |]
+  | `Mem_pop -> [| Hyper.Hypercalls.Memory_op_populate |]
+  | `Mem_dec -> [| Hyper.Hypercalls.Memory_op_decrease |]
+  | `Grant -> Array.init 3 (fun i -> Hyper.Hypercalls.Grant_table_op (1 + i))
+  | `Evt_send -> [| Hyper.Hypercalls.Event_channel_send |]
+  | `Block -> [| Hyper.Hypercalls.Sched_op_block |]
+  | `Yield -> [| Hyper.Hypercalls.Sched_op_yield |]
+  | `Set_timer -> [| Hyper.Hypercalls.Set_timer_op |]
+  | `Console -> [| Hyper.Hypercalls.Console_io |]
+  | `Vcpu_info -> [| Hyper.Hypercalls.Vcpu_op_info |]
   | `Multicall ->
-    Hyper.Hypercalls.Multicall
-      [
-        Hyper.Hypercalls.Mmu_update (1 + Sim.Rng.int rng 2);
-        Hyper.Hypercalls.Update_va_mapping;
-        Hyper.Hypercalls.Mmu_update 1;
-      ]
+    Array.init 2 (fun i ->
+        Hyper.Hypercalls.Multicall
+          [
+            Hyper.Hypercalls.Mmu_update (1 + i);
+            Hyper.Hypercalls.Update_va_mapping;
+            Hyper.Hypercalls.Mmu_update 1;
+          ])
 
-(* A benchmark bound to a domain. *)
+(* Sampling-time form of a menu, built once per benchmark kind: the
+   cumulative weights and, flattened in menu order, every kind the menu
+   can produce. Tag [i]'s kinds are [kinds.(first.(i))] onwards,
+   [arity.(i)] of them. [choose_index_cum] over [cum] draws exactly as
+   [choose_weighted] over the menu list would (same single float draw,
+   same boundaries), and the argument draw follows it as before. *)
+type menu = {
+  cum : float array;
+  first : int array;
+  arity : int array;
+  kinds : Hyper.Hypercalls.kind array;
+}
+
+let build_menu kind =
+  let per_tag = Array.of_list (List.map (fun (_, tag) -> tag_kinds tag) (hypercall_menu kind)) in
+  let arity = Array.map Array.length per_tag in
+  let first = Array.make (Array.length arity) 0 in
+  for i = 1 to Array.length arity - 1 do
+    first.(i) <- first.(i - 1) + arity.(i - 1)
+  done;
+  {
+    cum = Sim.Rng.cumulative (hypercall_menu kind);
+    first;
+    arity;
+    kinds = Array.concat (Array.to_list per_tag);
+  }
+
+let menu_unixbench = build_menu Unixbench
+let menu_blkbench = build_menu Blkbench
+let menu_netbench = build_menu Netbench
+
+let menu = function
+  | Unixbench -> menu_unixbench
+  | Blkbench -> menu_blkbench
+  | Netbench -> menu_netbench
+
+(* Index into [m.kinds] of the next sampled hypercall. *)
+let draw_kind rng m =
+  let i = Sim.Rng.choose_index_cum rng m.cum in
+  match m.arity.(i) with
+  | 1 -> m.first.(i)
+  | n -> m.first.(i) + Sim.Rng.int rng n
+
+(* A benchmark bound to a domain. [syscalls] and [hypercalls] hold every
+   activity [sample_activity] can return, built once at [create] so a
+   sample allocates nothing: [syscalls.(vid)] and
+   [hypercalls.(vid * nkinds + k)] for [k] indexing the menu's kinds. *)
 type t = {
   kind : kind;
   domid : int;
   vcpus : int; (* vCPUs the guest spreads its work across *)
   mutable activities_run : int;
   mutable verified_ok : bool;
+  syscalls : Hyper.Hypervisor.activity array;
+  hypercalls : Hyper.Hypervisor.activity array;
 }
 
 let create ?(vcpus = 1) kind ~domid =
-  { kind; domid; vcpus = max 1 vcpus; activities_run = 0; verified_ok = true }
+  let vcpus = max 1 vcpus in
+  let kinds = (menu kind).kinds in
+  let nkinds = Array.length kinds in
+  {
+    kind;
+    domid;
+    vcpus;
+    activities_run = 0;
+    verified_ok = true;
+    syscalls =
+      Array.init vcpus (fun vid -> Hyper.Hypervisor.Syscall_forward { domid; vid });
+    hypercalls =
+      Array.init (vcpus * nkinds) (fun i ->
+          Hyper.Hypervisor.Hypercall
+            { domid; vid = i / nkinds; kind = kinds.(i mod nkinds) });
+  }
 
-(* Sample one hypervisor entry caused by this benchmark's guest. *)
+(* Sample one hypervisor entry caused by this benchmark's guest: the vCPU,
+   syscall-or-hypercall, then the hypercall and its argument, in that
+   draw order. *)
 let sample_activity rng t : Hyper.Hypervisor.activity =
   let vid = if t.vcpus = 1 then 0 else Sim.Rng.int rng t.vcpus in
-  if Sim.Rng.float rng 1.0 < syscall_share t.kind then
-    Hyper.Hypervisor.Syscall_forward { domid = t.domid; vid }
+  if Sim.Rng.chance rng (syscall_share t.kind) then t.syscalls.(vid)
   else
-    Hyper.Hypervisor.Hypercall
-      { domid = t.domid; vid; kind = sample_hypercall rng t.kind }
+    let m = menu t.kind in
+    t.hypercalls.((vid * Array.length m.kinds) + draw_kind rng m)
 
 (* Verification criteria (Section VI-A): BlkBench and UnixBench compare
    produced files against a golden copy and watch for failed system

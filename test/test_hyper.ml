@@ -9,6 +9,21 @@ let crashes f =
   | _ -> false
   | exception Hyper.Crash.Hypervisor_crash _ -> true
 
+(* The message of the panic [f] raises, if it raises one. *)
+let panic_text f =
+  match f () with
+  | _ -> None
+  | exception Hyper.Crash.Hypervisor_crash (Hyper.Crash.Panic s) -> Some s
+
+let check_panic what expected f =
+  Alcotest.(check (option string)) what (Some expected) (panic_text f)
+
+(* Minor words [f] allocates; [f] is built before the bracket opens. *)
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
 let boot ?(setup = Hyper.Hypervisor.Three_appvm) ?(config = Hyper.Config.nilihype) () =
   let clock = Sim.Clock.create () in
   Hyper.Hypervisor.boot ~mconfig:Hw.Machine.campaign_config ~config ~setup clock
@@ -58,6 +73,31 @@ let test_pfn_get_on_free_panics () =
   let t = Hyper.Pfn.create ~frames:4 in
   let d = Hyper.Pfn.get t 0 in
   checkb "get_page on free frame" true (crashes (fun () -> Hyper.Pfn.get_page d))
+
+(* The converted assertions keep their conditions and exact messages. *)
+let test_pfn_assert_texts () =
+  let t = Hyper.Pfn.create ~frames:4 in
+  check_panic "get_page on a free frame" "ASSERT: get_page on free frame 2"
+    (fun () -> Hyper.Pfn.get_page (Hyper.Pfn.get t 2));
+  let d = Hyper.Pfn.alloc_frame t ~owner:1 ~ptype:Hyper.Pfn.Page_table in
+  d.Hyper.Pfn.use_count <- 0;
+  check_panic "validate with zero use count"
+    (Printf.sprintf "ASSERT: validate with zero use_count on %d" d.Hyper.Pfn.index)
+    (fun () -> Hyper.Pfn.validate d)
+
+(* A passing assertion formats nothing: get_page on a live frame
+   allocates no minor words (after the first touch marks it dirty). *)
+let test_pfn_get_page_no_alloc () =
+  let t = Hyper.Pfn.create ~frames:4 in
+  let d = Hyper.Pfn.alloc_frame t ~owner:1 ~ptype:Hyper.Pfn.Writable in
+  Hyper.Pfn.get_page d;
+  let words =
+    minor_words (fun () ->
+        for _ = 1 to 10_000 do
+          Hyper.Pfn.get_page d
+        done)
+  in
+  Alcotest.(check (float 0.0)) "minor words over 10k get_page" 0.0 words
 
 let test_pfn_scan_fixes_validated_zero_refs () =
   (* The validation-bit / use-counter disagreement the recovery scan
@@ -615,6 +655,73 @@ let test_irq_count_assertions () =
   Hyper.Percpu.assert_not_in_irq p;
   checkb "irq_exit underflow asserts" true (crashes (fun () -> Hyper.Percpu.irq_exit p))
 
+let test_irq_exit_assert_text () =
+  let hv = boot () in
+  check_panic "irq_exit at count 0" "ASSERT: cpu1: irq_exit with count 0" (fun () ->
+      Hyper.Percpu.irq_exit hv.Hyper.Hypervisor.percpu.(1))
+
+let test_irq_exit_no_alloc () =
+  let hv = boot () in
+  let p = hv.Hyper.Hypervisor.percpu.(0) in
+  let words =
+    minor_words (fun () ->
+        for _ = 1 to 10_000 do
+          Hyper.Percpu.irq_enter p;
+          Hyper.Percpu.irq_exit p
+        done)
+  in
+  Alcotest.(check (float 0.0)) "minor words over 10k irq_exit" 0.0 words
+
+(* A CPU whose per-CPU current record names a vCPU, and that vCPU. *)
+let cpu_with_current hv =
+  let sched = hv.Hyper.Hypervisor.sched in
+  let rec go c =
+    match Hyper.Sched.current sched ~cpu:c with
+    | Some v -> (c, v)
+    | None -> go (c + 1)
+  in
+  go 0
+
+let test_schedule_assert_text () =
+  let hv = boot () in
+  let cpu, v = cpu_with_current hv in
+  v.Hyper.Domain.is_current <- false;
+  check_panic "schedule with mismatched records"
+    (Printf.sprintf "ASSERT: schedule: cpu%d current vcpu d%dv%d lacks is_current" cpu
+       v.Hyper.Domain.domid v.Hyper.Domain.vid)
+    (fun () ->
+      ignore
+        (Hyper.Sched.schedule hv.Hyper.Hypervisor.sched
+           hv.Hyper.Hypervisor.percpu.(cpu) ~cpu));
+  v.Hyper.Domain.is_current <- true;
+  v.Hyper.Domain.curr_slot <- cpu + 1;
+  check_panic "schedule with a stale slot"
+    (Printf.sprintf "ASSERT: schedule: cpu%d current vcpu d%dv%d says slot %d" cpu
+       v.Hyper.Domain.domid v.Hyper.Domain.vid (cpu + 1))
+    (fun () ->
+      ignore
+        (Hyper.Sched.schedule hv.Hyper.Hypervisor.sched
+           hv.Hyper.Hypervisor.percpu.(cpu) ~cpu))
+
+let test_ctx_switch_assert_text () =
+  let hv = boot () in
+  let cpu, prev = cpu_with_current hv in
+  let sched = hv.Hyper.Hypervisor.sched in
+  (* Queue another vCPU on this CPU so the switch has a next to pick. *)
+  let next =
+    List.find
+      (fun (v : Hyper.Domain.vcpu) -> v.Hyper.Domain.processor = cpu && v != prev)
+      (Hyper.Hypervisor.all_vcpus hv)
+  in
+  Hyper.Sched.enqueue sched next;
+  prev.Hyper.Domain.is_current <- false;
+  check_panic "context switch from a prev without is_current"
+    (Printf.sprintf "ASSERT: schedule: cpu%d prev d%dv%d lost is_current" cpu
+       prev.Hyper.Domain.domid prev.Hyper.Domain.vid)
+    (fun () ->
+      Hyper.Hypervisor.execute hv (Sim.Rng.create 1L)
+        (Hyper.Hypervisor.Context_switch cpu))
+
 (* ------------------------- Evtchn / Grant --------------------------- *)
 
 let test_evtchn_bind_send () =
@@ -630,6 +737,23 @@ let test_evtchn_double_bind_panics () =
   let t = Hyper.Evtchn.create heap ~ports:8 5 in
   Hyper.Evtchn.bind t ~port:3;
   checkb "double bind" true (crashes (fun () -> Hyper.Evtchn.bind t ~port:3))
+
+let test_evtchn_bind_assert_text () =
+  let heap = Hyper.Heap.create () in
+  let t = Hyper.Evtchn.create heap ~ports:8 5 in
+  Hyper.Evtchn.bind t ~port:3;
+  check_panic "double bind" "ASSERT: evtchn: double bind of port 3" (fun () ->
+      Hyper.Evtchn.bind t ~port:3)
+
+let test_grant_map_assert_texts () =
+  let heap = Hyper.Heap.create () in
+  let t = Hyper.Grant.create heap ~slots:8 5 in
+  check_panic "map of unused slot" "ASSERT: grant map of unused slot 1" (fun () ->
+      Hyper.Grant.map t ~slot:1 ~by:0);
+  Hyper.Grant.grant t ~slot:2 ~frame:100;
+  Hyper.Grant.map t ~slot:2 ~by:0;
+  check_panic "map twice" "ASSERT: grant slot 2 already mapped" (fun () ->
+      Hyper.Grant.map t ~slot:2 ~by:0)
 
 let test_evtchn_masked_no_pending () =
   let heap = Hyper.Heap.create () in
@@ -676,6 +800,8 @@ let () =
           Alcotest.test_case "double invalidate" `Quick test_pfn_double_invalidate_panics;
           Alcotest.test_case "refcount underflow" `Quick test_pfn_underflow_panics;
           Alcotest.test_case "get on free" `Quick test_pfn_get_on_free_panics;
+          Alcotest.test_case "assert texts" `Quick test_pfn_assert_texts;
+          Alcotest.test_case "get_page allocates 0" `Quick test_pfn_get_page_no_alloc;
           Alcotest.test_case "scan fixes validated-no-refs" `Quick
             test_pfn_scan_fixes_validated_zero_refs;
           Alcotest.test_case "scan fixes orphan typed page" `Quick
@@ -761,14 +887,20 @@ let () =
           Alcotest.test_case "abandoned switch detected" `Quick
             test_sched_abandoned_switch_detected;
           Alcotest.test_case "irq count assertions" `Quick test_irq_count_assertions;
+          Alcotest.test_case "irq_exit assert text" `Quick test_irq_exit_assert_text;
+          Alcotest.test_case "irq_exit allocates 0" `Quick test_irq_exit_no_alloc;
+          Alcotest.test_case "schedule assert texts" `Quick test_schedule_assert_text;
+          Alcotest.test_case "ctx switch assert text" `Quick test_ctx_switch_assert_text;
         ] );
       ( "evtchn_grant",
         [
           Alcotest.test_case "bind/send" `Quick test_evtchn_bind_send;
           Alcotest.test_case "double bind" `Quick test_evtchn_double_bind_panics;
+          Alcotest.test_case "bind assert text" `Quick test_evtchn_bind_assert_text;
           Alcotest.test_case "masked stays quiet" `Quick test_evtchn_masked_no_pending;
           Alcotest.test_case "grant map/unmap" `Quick test_grant_map_unmap;
           Alcotest.test_case "grant map unused" `Quick test_grant_map_unused_panics;
+          Alcotest.test_case "grant map assert texts" `Quick test_grant_map_assert_texts;
         ] );
       ( "latency_model",
         [

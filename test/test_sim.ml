@@ -89,9 +89,10 @@ let test_rng_bit64_range () =
     checkb "bit in [0,64)" true (b >= 0 && b < 64)
   done
 
-(* The production generator computes splitmix64 on two 32-bit native-int
-   limbs (no Int64 boxing on the hot path). This pins it, bit for bit,
-   to the obvious Int64 reference implementation. *)
+(* Pins the production generator, bit for bit, to the obvious Int64
+   reference implementation of splitmix64. (The name dates from an
+   earlier two-limb native-int form; it is kept so that result listings
+   stay comparable.) *)
 let test_rng_matches_int64_reference () =
   let reference seed =
     let state = ref seed in
@@ -121,6 +122,53 @@ let test_rng_matches_int64_reference () =
           (next_ref ()) (Sim.Rng.int64 r)
       done)
     [ 0L; 1L; 7L; -1L; 0x8000000000000000L; 0xDEADBEEFCAFEF00DL ]
+
+(* The generator is one 8-byte state: these pin the snapshot/restore
+   and derivation operations on it. *)
+let draws r = List.init 64 (fun _ -> Sim.Rng.int64 r)
+
+let test_rng_save_reseed_round_trip () =
+  let r = Sim.Rng.create 11L in
+  ignore (draws r);
+  let pos = Sim.Rng.save r in
+  let ahead = draws r in
+  Sim.Rng.reseed r pos;
+  checkb "reseed (save r) replays the stream" true (draws r = ahead);
+  Sim.Rng.reseed r pos;
+  checkb "create (save r) clones the stream" true
+    (draws (Sim.Rng.create (Sim.Rng.save r)) = ahead);
+  checkb "save does not advance" true (Sim.Rng.save r = pos)
+
+let test_rng_reseed_is_create () =
+  let r = Sim.Rng.create 5L in
+  ignore (draws r);
+  Sim.Rng.reseed r 0xDEADBEEFL;
+  checkb "reseed = create" true (draws r = draws (Sim.Rng.create 0xDEADBEEFL))
+
+let test_rng_copy_owns_state () =
+  let a = Sim.Rng.create 9L in
+  ignore (draws a);
+  let b = Sim.Rng.copy a in
+  let from_b = draws b in
+  checkb "advancing the copy leaves the original" true (draws a = from_b);
+  checkb "same position afterwards" true (Sim.Rng.save a = Sim.Rng.save b)
+
+let test_rng_split_is_create_of_draw () =
+  let a = Sim.Rng.create 13L and twin = Sim.Rng.create 13L in
+  let child = Sim.Rng.split a in
+  let seed = Sim.Rng.int64 twin in
+  checkb "child = create (int64 parent)" true
+    (draws child = draws (Sim.Rng.create seed));
+  checkb "parent advanced one step" true (Sim.Rng.save a = Sim.Rng.save twin)
+
+let test_rng_chance_is_float_lt () =
+  let a = Sim.Rng.create 17L and b = Sim.Rng.create 17L in
+  List.iter
+    (fun p ->
+      for _ = 1 to 500 do
+        checkb "chance p = float 1.0 < p" (Sim.Rng.float b 1.0 < p) (Sim.Rng.chance a p)
+      done)
+    [ 0.0; 0.12; 0.5; 0.8; 1.0 ]
 
 (* ------------------------- Clock ----------------------------------- *)
 
@@ -230,6 +278,13 @@ let () =
           Alcotest.test_case "bit64 range" `Quick test_rng_bit64_range;
           Alcotest.test_case "limb arithmetic matches Int64 reference" `Quick
             test_rng_matches_int64_reference;
+          Alcotest.test_case "save/reseed round trip" `Quick
+            test_rng_save_reseed_round_trip;
+          Alcotest.test_case "reseed = create" `Quick test_rng_reseed_is_create;
+          Alcotest.test_case "copy owns its state" `Quick test_rng_copy_owns_state;
+          Alcotest.test_case "split = create of draw" `Quick
+            test_rng_split_is_create_of_draw;
+          Alcotest.test_case "chance = float < p" `Quick test_rng_chance_is_float_lt;
         ] );
       ( "clock",
         [

@@ -110,6 +110,110 @@ let test_system_mix_no_devices () =
     | _ -> ()
   done
 
+(* The samplers as first written, building every activity from the
+   weight lists with [choose_weighted] and [float]: the table-driven
+   samplers must return equal activities from the same draws. *)
+let reference_activity rng (b : Workloads.Workload.t) =
+  let open Hyper.Hypercalls in
+  let vid = if b.vcpus = 1 then 0 else Sim.Rng.int rng b.vcpus in
+  if Sim.Rng.float rng 1.0 < Workloads.Workload.syscall_share b.kind then
+    Hyper.Hypervisor.Syscall_forward { domid = b.domid; vid }
+  else
+    let kind =
+      match Sim.Rng.choose_weighted rng (Workloads.Workload.hypercall_menu b.kind) with
+      | `Mmu -> Mmu_update (1 + Sim.Rng.int rng 4)
+      | `Va -> Update_va_mapping
+      | `Mem_pop -> Memory_op_populate
+      | `Mem_dec -> Memory_op_decrease
+      | `Grant -> Grant_table_op (1 + Sim.Rng.int rng 3)
+      | `Evt_send -> Event_channel_send
+      | `Block -> Sched_op_block
+      | `Yield -> Sched_op_yield
+      | `Set_timer -> Set_timer_op
+      | `Console -> Console_io
+      | `Vcpu_info -> Vcpu_op_info
+      | `Multicall ->
+        Multicall [ Mmu_update (1 + Sim.Rng.int rng 2); Update_va_mapping; Mmu_update 1 ]
+    in
+    Hyper.Hypervisor.Hypercall { domid = b.domid; vid; kind }
+
+let reference_sample rng ~benchmarks ~active_cpus ~blk_dom ~net_dom =
+  let random_cpu () =
+    match Array.length active_cpus with
+    | 0 -> 0
+    | n -> active_cpus.(Sim.Rng.int rng n)
+  in
+  match Sim.Rng.choose_weighted rng Workloads.System_mix.category_weights with
+  | `Guest_entry -> (
+    match Array.length benchmarks with
+    | 0 -> Hyper.Hypervisor.Idle_poll (random_cpu ())
+    | n -> reference_activity rng benchmarks.(Sim.Rng.int rng n))
+  | `Timer_tick -> Hyper.Hypervisor.Timer_tick (random_cpu ())
+  | `Device_interrupt -> (
+    let share f =
+      Array.fold_left
+        (fun acc (b : Workloads.Workload.t) ->
+          acc +. f (Workloads.Workload.device_share b.kind))
+        0.01 benchmarks
+    in
+    let blk_w = share fst and net_w = share snd in
+    let pick_blk = Sim.Rng.float rng (blk_w +. net_w) < blk_w in
+    let irq line d = Hyper.Hypervisor.Device_interrupt { line; target_dom = d } in
+    match (pick_blk, blk_dom, net_dom) with
+    | true, Some d, _ -> irq 1 d
+    | false, _, Some d -> irq 2 d
+    | true, None, Some d -> irq 2 d
+    | false, Some d, None -> irq 1 d
+    | _, None, None -> Hyper.Hypervisor.Idle_poll (random_cpu ()))
+  | `Context_switch -> Hyper.Hypervisor.Context_switch (random_cpu ())
+  | `Idle -> Hyper.Hypervisor.Idle_poll (random_cpu ())
+
+let test_sample_matches_reference () =
+  let open Workloads.Workload in
+  List.iter
+    (fun (benchmarks, active_cpus, blk_dom, net_dom) ->
+      let mix = Workloads.System_mix.create ~benchmarks ~active_cpus ~blk_dom ~net_dom in
+      let a = Sim.Rng.create 21L and b = Sim.Rng.create 21L in
+      for _ = 1 to 20_000 do
+        let expected =
+          reference_sample b ~benchmarks:(Array.of_list benchmarks)
+            ~active_cpus:(Array.of_list active_cpus) ~blk_dom ~net_dom
+        in
+        checkb "same activity" true (Workloads.System_mix.sample a mix = expected)
+      done;
+      checkb "same stream position" true (Sim.Rng.save a = Sim.Rng.save b))
+    [
+      ([ create Unixbench ~domid:1; create Netbench ~domid:2 ], [ 0; 1; 2 ], None, Some 2);
+      ( [ create ~vcpus:2 Blkbench ~domid:1; create ~vcpus:3 Netbench ~domid:4 ],
+        [ 0; 3 ],
+        Some 1,
+        Some 4 );
+      ([ create Blkbench ~domid:3 ], [ 1 ], Some 3, None);
+      ([], [], None, None);
+    ]
+
+(* Sampling reads preallocated activities: no minor words at all. *)
+let test_sample_no_alloc () =
+  let rng = Sim.Rng.create 5L in
+  let mix =
+    Workloads.System_mix.create
+      ~benchmarks:
+        [
+          Workloads.Workload.create ~vcpus:2 Workloads.Workload.Unixbench ~domid:1;
+          Workloads.Workload.create Workloads.Workload.Netbench ~domid:2;
+        ]
+      ~active_cpus:[ 0; 1; 2 ] ~blk_dom:(Some 1) ~net_dom:(Some 2)
+  in
+  let f () =
+    for _ = 1 to 10_000 do
+      ignore (Sys.opaque_identity (Workloads.System_mix.sample rng mix))
+    done
+  in
+  let w0 = Gc.minor_words () in
+  f ();
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check (float 0.0)) "minor words over 10k samples" 0.0 words
+
 let test_mix_weights_normalised () =
   let total =
     List.fold_left (fun acc (w, _) -> acc +. w) 0.0 Workloads.System_mix.category_weights
@@ -133,6 +237,8 @@ let () =
           Alcotest.test_case "syscall share" `Quick test_syscall_share_respected;
           Alcotest.test_case "system mix validity" `Quick
             test_system_mix_samples_valid_activities;
+          Alcotest.test_case "matches reference" `Quick test_sample_matches_reference;
+          Alcotest.test_case "allocates 0 words" `Quick test_sample_no_alloc;
           Alcotest.test_case "no devices" `Quick test_system_mix_no_devices;
           Alcotest.test_case "mix weights" `Quick test_mix_weights_normalised;
         ] );
