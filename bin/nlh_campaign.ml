@@ -66,7 +66,7 @@ let () =
       Inject.Vocab.fault_spec fault;
       Inject.Vocab.setup_spec setup;
       ("--runs", Arg.Set_int n, " number of injection runs");
-      ("--seed", Arg.Set_int seed, " base seed");
+      Inject.Vocab.seed_spec seed;
       Inject.Vocab.jobs_spec jobs
         " parallel worker domains (0 = one per core; default 1)";
       ( "--chunk",
@@ -83,20 +83,7 @@ let () =
   Arg.parse spec Inject.Vocab.no_positional "nlh_campaign [options]";
   if !ladder then
     List.iter
-      (fun (label, hv_config, enh) ->
-        let cfg =
-          {
-            Inject.Run.default_config with
-            Inject.Run.fault = Inject.Fault.Failstop;
-            setup = Inject.Run.One_appvm Workloads.Workload.Unixbench;
-            mech = Inject.Run.Mech (Recovery.Engine.Nilihype, enh);
-            hv_config;
-          }
-        in
-        let result =
-          Inject.Campaign.run ~label ~base_seed:(Int64.of_int !seed)
-            ~jobs:(Inject.Vocab.jobs !jobs) ~n:!n cfg
-        in
+      (fun (label, result) ->
         Format.printf "%-50s success %a@." label Sim.Stats.pp_proportion
           (Inject.Campaign.success_rate result);
         List.iter
@@ -106,7 +93,8 @@ let () =
           (List.sort
              (fun (_, a) (_, b) -> compare b a)
              (Inject.Campaign.failure_notes result.Inject.Campaign.totals)))
-      Recovery.Enhancement.table1_ladder
+      (Core.Experiment.ladder ~base_seed:(Int64.of_int !seed)
+         ~jobs:(Inject.Vocab.jobs !jobs) ~n:!n)
   else
     run_campaign
       (Inject.Vocab.config

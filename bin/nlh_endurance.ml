@@ -22,7 +22,7 @@ let () =
       ( "--settle",
         Arg.Set_int settle,
         " post-recovery activities before each ledger snapshot" );
-      ("--seed", Arg.Set_int seed, " base seed");
+      Inject.Vocab.seed_spec seed;
       Inject.Vocab.jobs_spec jobs
         " parallel worker domains (0 = one per core; default 1)";
       ( "--chunk",

@@ -23,7 +23,7 @@ let () =
       ("--victims", Arg.Set_int victims, "N tenants damaged by the fault (3)");
       Inject.Vocab.jobs_spec jobs
         "N worker domains for trials (0 = one per core; default 1)";
-      ("--seed", Arg.Set_int seed, "N base seed (42000)");
+      Inject.Vocab.seed_spec seed;
       ( "--mech",
         Inject.Vocab.symbol
           (List.map (fun m -> (Fleet.mechanism_name m, m)) Fleet.all_mechanisms)

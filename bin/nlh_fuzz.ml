@@ -47,7 +47,7 @@ let () =
       ( "--oversubscribe",
         Arg.Set oversubscribe,
         " allow more worker domains than cores" );
-      ("--seed", Arg.Set_int seed, " base seed of the fault space");
+      Inject.Vocab.seed_spec seed;
       ( "--corpus-out",
         Arg.Set_string corpus_out,
         " nlh-fuzz/1 corpus/state file (written per round, resumable)" );

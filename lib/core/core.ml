@@ -89,6 +89,23 @@ module Experiment = struct
     Inject.Campaign.run ~base_seed ~jobs ~n:runs
       (config ~setup ~fault mechanism)
 
+  (* Table I: one NiLiHype campaign (1AppVM, failstop) per step of the
+     enhancement ladder, each at the same seeds. *)
+  let ladder ~base_seed ~jobs ~n =
+    List.map
+      (fun (label, hv_config, enh) ->
+        let cfg =
+          {
+            Inject.Run.default_config with
+            Inject.Run.fault = Inject.Fault.Failstop;
+            setup = Inject.Run.One_appvm Workloads.Workload.Unixbench;
+            mech = Inject.Run.Mech (Recovery.Engine.Nilihype, enh);
+            hv_config;
+          }
+        in
+        (label, Inject.Campaign.run ~label ~base_seed ~jobs ~n cfg))
+      Recovery.Enhancement.table1_ladder
+
   let pp_outcome fmt (o : outcome) =
     match o with
     | Inject.Run.Non_manifested | Inject.Run.Silent_corruption ->

@@ -708,7 +708,10 @@ let totals_of_payload ?triage_seed_cap ~cycles (payload : Obs.Json.t) =
       fail "per_cycle has %d cycles, expected %d" (List.length per_cycle) cycles;
     List.iteri
       (fun idx cv ->
-        match List.map int (list cv) with
+        let fields = List.map int (list cv) in
+        if List.exists (fun x -> x < 0) fields then
+          fail "per_cycle[%d]: negative field" idx;
+        match fields with
         | [ en; qu; re; la; di; lp; bv; ls; lsam ] ->
           t.per_cycle.(idx) <-
             {
@@ -722,7 +725,9 @@ let totals_of_payload ?triage_seed_cap ~cycles (payload : Obs.Json.t) =
               cs_latency_sum = ls;
               cs_latency_samples = lsam;
             }
-        | _ -> fail "per_cycle entry is not 9 ints")
+        | _ ->
+          fail "per_cycle[%d]: expected 9 ints, got %d" idx
+            (List.length fields))
       per_cycle;
     List.iter
       (fun (k, v) -> Sim.Stats.Counts.add ~by:v t.leaks k)

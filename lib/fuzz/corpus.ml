@@ -116,31 +116,46 @@ let payload_fields t =
 let entry_of_json v =
   let open Obs.Json in
   let trace = List.map int (list (field "trace" v)) in
+  if trace = [] then fail "trace is empty";
   List.iter
     (fun c ->
       if c < 0 || c >= Input.op_space then
-        fail "entry.trace: op code %d outside [0, 2^%d)" c Input.op_bits)
+        fail "trace: op code %d outside [0, 2^%d)" c Input.op_bits)
     trace;
   let seed_s = string (field "seed" v) in
   let seed =
     match Int64.of_string_opt seed_s with
     | Some s -> s
-    | None -> fail "entry.seed %S is not an int64" seed_s
+    | None -> fail "seed %S is not an int64" seed_s
   in
   let outcome = string (field "outcome" v) in
-  if outcome = "" then fail "entry.outcome is empty";
+  if outcome = "" then fail "outcome is empty";
+  let signature = string (field "signature" v) in
+  if signature <> "" && Obs.Signature.of_key signature = None then
+    fail "signature %S is not fault|target|cause|branch" signature;
   {
     en_trace = trace;
     en_seed = seed;
     en_outcome = outcome;
-    en_signature = string (field "signature" v);
+    en_signature = signature;
   }
 
+(* Entries must come in the canonical order {!entries} writes them:
+   strictly ascending by {!compare_entry}. *)
 let of_json payload =
   let open Obs.Json in
   let ents =
-    Array.of_list (List.map entry_of_json (list (field "entries" payload)))
+    Array.of_list
+      (List.mapi
+         (fun i v ->
+           try entry_of_json v with Invalid m -> fail "entries[%d]: %s" i m)
+         (list (field "entries" payload)))
   in
+  Array.iteri
+    (fun i e ->
+      if i > 0 && compare_entry ents.(i - 1) e >= 0 then
+        fail "entries[%d]: not in canonical (length, lex) order" i)
+    ents;
   let t = create () in
   let last = ref "" in
   List.iter

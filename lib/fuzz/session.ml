@@ -128,17 +128,45 @@ let save t path =
   Obs.Checkpoint.write ~schema:Obs.Checkpoint.fuzz_schema ~path (header_of t)
     ~payload:(payload_of t)
 
+(* The payload-reading half of a resume: fill the fresh session [t]
+   with an nlh-fuzz/1 file's completed rounds (a prefix), RNG position,
+   stats and corpus. Checks everything a file must satisfy on its own,
+   whatever config resumes it; raises {!Obs.Json.Invalid}. *)
+let restore t (h : Obs.Checkpoint.header) payload =
+  let open Obs.Json in
+  if h.Obs.Checkpoint.kind <> "fuzz" then
+    fail "checkpoint kind %S is not \"fuzz\"" h.Obs.Checkpoint.kind;
+  let rounds = Obs.Checkpoint.done_count h in
+  Array.iteri
+    (fun i d -> if d <> (i < rounds) then fail "done rounds are not a prefix")
+    h.Obs.Checkpoint.done_chunks;
+  let int64 key =
+    let s = string (field key payload) in
+    match Int64.of_string_opt s with
+    | Some v -> v
+    | None -> fail "payload.%s %S is not an int64" key s
+  in
+  ignore (int64 "base_seed");
+  Sim.Rng.reseed t.s_rng (int64 "rng");
+  t.s_evaluated <- int (field "evaluated" payload);
+  t.s_kept <- int (field "kept" payload);
+  t.s_dud <- int (field "dud" payload);
+  if t.s_evaluated <> t.s_kept + t.s_dud then
+    fail "evaluated %d <> kept %d + duds %d" t.s_evaluated t.s_kept t.s_dud;
+  Corpus.merge_into ~into:t.s_corpus (Corpus.of_json payload);
+  t.s_rounds <- rounds
+
 (* Restore corpus/stats/RNG from an nlh-fuzz/1 file into a fresh
    session. The file's fingerprint must match the session config. *)
 let resume_from cfg path =
-  match Obs.Checkpoint.read ~schema:Obs.Checkpoint.fuzz_schema path with
-  | Error msg ->
+  let cannot msg =
     invalid_arg (Printf.sprintf "Fuzz: cannot resume from %s: %s" path msg)
+  in
+  match Obs.Checkpoint.read ~schema:Obs.Checkpoint.fuzz_schema path with
+  | Error msg -> cannot msg
   | Ok (h, payload) ->
-    if h.Obs.Checkpoint.kind <> "fuzz" then
-      invalid_arg
-        (Printf.sprintf "Fuzz: checkpoint kind %S is not \"fuzz\""
-           h.Obs.Checkpoint.kind);
+    let t = create cfg in
+    (try restore t h payload with Obs.Json.Invalid msg -> cannot msg);
     if h.Obs.Checkpoint.fingerprint <> fingerprint cfg then
       invalid_arg
         (Printf.sprintf
@@ -146,26 +174,6 @@ let resume_from cfg path =
            h.Obs.Checkpoint.fingerprint (fingerprint cfg));
     if h.Obs.Checkpoint.n_chunks <> n_rounds cfg then
       invalid_arg "Fuzz: corpus round count does not match --runs/--batch";
-    let done_rounds = Obs.Checkpoint.done_count h in
-    Array.iteri
-      (fun i d ->
-        if d <> (i < done_rounds) then
-          invalid_arg "Fuzz: corpus done-rounds are not a prefix")
-      h.Obs.Checkpoint.done_chunks;
-    let t = create cfg in
-    (try
-       let open Obs.Json in
-       let rng_s = string (field "rng" payload) in
-       (match Int64.of_string_opt rng_s with
-       | Some st -> Sim.Rng.reseed t.s_rng st
-       | None -> fail "payload.rng %S is not an int64" rng_s);
-       t.s_evaluated <- int (field "evaluated" payload);
-       t.s_kept <- int (field "kept" payload);
-       t.s_dud <- int (field "dud" payload);
-       Corpus.merge_into ~into:t.s_corpus (Corpus.of_json payload)
-     with Obs.Json.Invalid msg ->
-       invalid_arg (Printf.sprintf "Fuzz: cannot resume from %s: %s" path msg));
-    t.s_rounds <- done_rounds;
     t
 
 (* ------------------------------------------------------------------ *)

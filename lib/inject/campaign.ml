@@ -285,6 +285,7 @@ let totals_of_payload ?triage_seed_cap (payload : Obs.Json.t) =
   let open Obs.Json in
   try
     let fanout = int (field "fanout" payload) in
+    if fanout < 1 then fail "fanout %d < 1" fanout;
     let tv = field "totals" payload in
     let i k = int (field k tv) in
     let t = make_totals ?triage_seed_cap () in

@@ -89,5 +89,9 @@ let jobs_spec r doc =
         r := j),
     doc )
 
+(* Every tool's [--seed], documented with the tool's own default. *)
+let seed_spec r =
+  ("--seed", Arg.Set_int r, Printf.sprintf " base seed (default %d)" !r)
+
 (* The anonymous-argument handler of a tool that takes none. *)
 let no_positional a = raise (Arg.Bad ("unexpected argument " ^ a))

@@ -109,25 +109,39 @@ let read ?schema path =
 
 let by_name l = List.sort (fun (a, _) (b, _) -> String.compare a b) l
 
-(* Reads back {!Export.snapshot_fields} without quantiles, so the round
-   trip is exact. Raises {!Json.Invalid}: callers sit inside a payload
-   reader and convert to [Error] at its edge. *)
+(* Reads back {!Export.snapshot_fields}; quantile members, which only
+   nlh-obs/1 documents carry, are ignored, so the round trip is exact.
+   Also the validator of both formats' histograms: bounds strictly
+   increase, and the non-negative bucket counts (one more than the
+   bounds) sum to [samples]. Raises {!Json.Invalid}: callers sit inside
+   a payload reader and convert to [Error] at its edge. *)
 let metrics_of_json v : Metrics.snapshot =
   let open Json in
   let ints v = List.map int (list v) in
   let histograms =
     List.map
       (fun (name, h) ->
+        let bad fmt = Printf.ksprintf (fail "histograms[%S]: %s" name) fmt in
         let bounds = ints (field "bounds" h) in
         let counts = ints (field "counts" h) in
+        let samples = int (field "samples" h) in
         if List.length counts <> List.length bounds + 1 then
-          fail "histograms[%S]: counts length is not bounds+1" name;
+          bad "%d counts for %d bounds (want bounds+1)" (List.length counts)
+            (List.length bounds);
+        if List.exists (fun c -> c < 0) counts then bad "negative bucket count";
+        if List.fold_left ( + ) 0 counts <> samples then
+          bad "counts do not sum to samples";
+        let rec increasing = function
+          | a :: (b :: _ as r) -> a < b && increasing r
+          | _ -> true
+        in
+        if not (increasing bounds) then bad "bounds not strictly increasing";
         ( name,
           {
             Metrics.h_bounds = bounds;
             h_counts = counts;
             h_sum = int (field "sum" h);
-            h_samples = int (field "samples" h);
+            h_samples = samples;
           } ))
       (obj (field "histograms" v))
   in

@@ -34,9 +34,11 @@ let key t =
   String.concat (String.make 1 sep)
     [ clean t.fault; clean t.target; clean t.cause; clean t.branch ]
 
+(* [key] never writes an empty field, so a key with one is rejected. *)
 let of_key s =
   match String.split_on_char sep s with
-  | [ fault; target; cause; branch ] -> Some { fault; target; cause; branch }
+  | [ fault; target; cause; branch ] as parts when not (List.mem "" parts) ->
+    Some { fault; target; cause; branch }
   | _ -> None
 
 let compare a b = String.compare (key a) (key b)
