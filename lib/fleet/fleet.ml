@@ -131,8 +131,9 @@ let run_trial (cfg : config) mech ~seed : Obs.Metrics.snapshot =
     Hypervisor.execute hv rng (Workloads.Workload.sample_activity rng w)
   done;
   (* Golden quiesce point: refresh baselines and drain the dirty lists,
-     so what is dirty at recovery time is exactly the damage. *)
-  ignore (Hypervisor.snapshot hv);
+     so what is dirty at recovery time is exactly the damage. The trial
+     never restores, so no image is captured. *)
+  Hypervisor.rebaseline hv;
   (* The fault: a few tenants' typed frames lose their references --
      the validation/use-count disagreement the consistency scan exists
      to repair. Victims are spread across the tenant range. *)
@@ -143,14 +144,16 @@ let run_trial (cfg : config) mech ~seed : Obs.Metrics.snapshot =
       (List.init victims (fun k ->
            1 + ((off + (k * cfg.tenants / victims)) mod cfg.tenants)))
   in
-  let n_frames = Hypervisor.frames hv in
+  let pfn = hv.Hypervisor.pfn in
+  let n_frames = Pfn.frames pfn in
   List.iter
     (fun domid ->
       let left = ref cfg.frames_per_victim in
       let i = ref 0 in
       while !left > 0 && !i < n_frames do
-        let d = Pfn.get hv.Hypervisor.pfn !i in
+        let d = Pfn.peek pfn !i in
         if d.Pfn.owner = domid && d.Pfn.use_count > 0 then begin
+          let d = Pfn.get pfn !i in
           Pfn.touch d;
           d.Pfn.use_count <- 0;
           decr left

@@ -498,19 +498,20 @@ let journal_tail t = Obs.Flight.tail t.journal_flight
 (* [snapshot] captures a golden image of the mutable hypervisor state;
    [restore] rewinds the same instance back to it in place. Cost model:
    the page-frame table, the heap and the timer heap are handled
-   copy-on-write inside [Pfn] / [Heap] / [Timer_heap] (each descriptor,
-   object and event carries its own golden copy plus a dirty bit and
-   mutators maintain shared dirty lists), so snapshot and restore are
-   O(changed state) there; everything else (domains, vcpus, locks,
-   per-CPU areas, hardware) is small and constant-size and captured
-   whole.
+   copy-on-write inside [Pfn] / [Heap] / [Timer_heap] (golden copies
+   kept beside the live state, dirty marks, and dirty lists the
+   mutators maintain; refreshed by [rebaseline]), so snapshot and
+   restore are O(changed state) there; everything else (domains,
+   vcpus, locks, per-CPU areas, hardware) is small and constant-size
+   and captured whole.
 
    Constraints:
-   - One outstanding image per instance: taking a new snapshot refreshes
-     the pfn/heap/timer tables' built-in golden copies, invalidating an
-     older image's baseline. Restoring the *most recent* image is
-     repeatable (restore, run, restore again): each restore drains the
-     dirty lists, later writes re-dirty.
+   - One outstanding image per instance: taking a new snapshot (or a
+     bare [rebaseline]) refreshes the pfn/heap/timer tables' built-in
+     golden copies, invalidating an older image's baseline. Restoring
+     the *most recent* image is repeatable (restore, run, restore
+     again): each restore drains the dirty lists, later writes
+     re-dirty.
    - Snapshot at quiesce points only: an in-flight hypercall record
      ([vcpu.in_hypercall]) is captured by reference, so interior
      mutation of a record alive at snapshot time (sub-op progress, its
@@ -687,10 +688,17 @@ let restore_domain im =
   restore_lock im.id_grant_lock;
   restore_lock im.id_page_lock
 
-let snapshot t =
+(* Refresh the copy-on-write golden copies of the pfn table, the heap
+   and the timer heap and drain their dirty lists: a consistent baseline
+   for the incremental recovery scan, without capturing an image. The
+   fleet trial's quiesce point needs only this -- it never restores. *)
+let rebaseline t =
   Pfn.snapshot t.pfn;
   Heap.snapshot t.heap;
-  Timer_heap.snapshot t.timers;
+  Timer_heap.snapshot t.timers
+
+let snapshot t =
+  rebaseline t;
   let static_locks = ref [] in
   Spinlock.Segment.iter t.static_segment (fun l ->
       static_locks := capture_lock l :: !static_locks);

@@ -9,26 +9,41 @@
     8 GB).
 
     The table is also the only O(machine) structure in the simulator
-    (64 Ki descriptors on the campaign configuration). Two whole-table
-    walks run on every recovered run -- the recovery scan
-    {!scan_and_fix} and the audit oracle {!count_inconsistent} -- so
-    the layout is kept slim: a descriptor record holds only its six
-    live fields, and both walks are plain [for] loops over the
-    descriptor array.
+    (64 Ki frames on the campaign configuration), and almost none of
+    those frames is ever written: a campaign boot allocates ~290, a
+    200-tenant fleet boot ~4,900. So the table is sparse. Every frame
+    that has not been written since the table was created or reset
+    holds one shared, read-only descriptor, {!created}. {!get}
+    materializes a frame's own record on first reach; the non-
+    materializing read {!peek} is for read-only walks (the resource
+    ledger, the injector's target probe). The whole-table walks
+    ({!scan_and_fix}, {!count_inconsistent}, {!free_frames}) still visit
+    every index -- the recovery scan's cost model is O(frames) -- but skip
+    the shared descriptor by physical equality, so they are plain [for]
+    loops over an array that mostly holds one pointer.
 
     The table also carries the copy-on-write machinery behind
-    {!Hypervisor.snapshot}, kept out of the descriptors:
+    {!Hypervisor.rebaseline}, kept out of the descriptors:
     - the golden image lives in flat per-table arrays (use count and
       owner as [int array]s, type and validation bit packed in one byte
       per frame);
     - dirty tracking is a one-byte-per-frame map plus a growable stack
       of dirty frame indices, reached from each descriptor through its
-      table's [tracker].
+      table's [tracker];
+    - a second stack records the frames materialized since the last
+      golden refresh ("born"). It is kept apart from the dirty stack, so
+      materializing a frame on a read does not count as a write:
+      {!dirty_count} and the incremental scan's simulated latency do not
+      move.
     {!snapshot}, {!restore}, {!scan_and_fix_dirty} and {!dirty_count}
-    walk only that stack -- O(changed frames), not O(all frames).
-    Mutators inside this module mark descriptors dirty themselves; the
-    few external writers (the journal's undo arms, the fault injector's
-    wild writes) call {!touch} explicitly. *)
+    walk only those stacks -- O(changed frames), not O(all frames).
+    {!restore} returns born frames to the shared descriptor and {!reset}
+    returns every frame to it, so a run's allocations do not depend on
+    which runs the table served before. Mutators inside this module mark
+    descriptors dirty themselves; the few external writers (the
+    journal's undo arms, the fault injector's wild writes) call {!touch}
+    explicitly. A descriptor obtained before a {!restore} or {!reset} is
+    stale after it: fetch it again with {!get}. *)
 
 type page_type =
   | Free
@@ -49,12 +64,17 @@ type desc = {
 
 and tracker = {
   dirty_map : Bytes.t; (* one byte per frame: '\001' = on the stack *)
-  mutable stack : int array; (* dirty frame indices in [0, top) *)
+  dirty : stack;
+}
+
+(* A growable stack of frame indices in [items.(0 .. top-1)]. *)
+and stack = {
+  mutable items : int array;
   mutable top : int;
 }
 
 type t = {
-  descs : desc array;
+  descs : desc array; (* [created] for every frame never written *)
   (* Golden image of the four mutable fields, refreshed by [snapshot]. *)
   g_use_count : int array;
   g_owner : int array;
@@ -62,6 +82,7 @@ type t = {
   mutable free_head : int; (* cursor for simple free-frame allocation *)
   mutable g_free_head : int; (* free_head at the last snapshot *)
   tracker : tracker;
+  born : stack; (* frames materialized since the last snapshot *)
   mutable tracking_ok : bool;
       (* Is the dirty tracking itself trustworthy? The incremental
          recovery scan walks only the dirty stack, which is sound
@@ -95,41 +116,71 @@ let ptype_of_code = [| Free; Writable; Page_table; Segdesc; Shared; Xenheap |]
 (* The golden byte of a freshly created frame: [Free], not validated. *)
 let fresh_flags = Char.chr (ptype_code Free lsl 1)
 
-(* The dirty stack doubles on demand, never past the frame count (a frame
+(* The created-state descriptor every never-written frame of every table
+   shares. Read-only: its index is -1 and its tracker is empty, so a
+   [touch] through it fails its bounds check instead of corrupting the
+   frames that share it. One value for all tables, so filling a table
+   with it never stores a young pointer into the (major-heap) descriptor
+   array. *)
+let created =
+  {
+    index = -1;
+    validated = false;
+    use_count = 0;
+    ptype = Free;
+    owner = -1;
+    tracker = { dirty_map = Bytes.empty; dirty = { items = [||]; top = 0 } };
+  }
+
+(* The index stacks double on demand, never past the frame count (a frame
    is pushed at most once per drain). The initial size covers a campaign
    boot (~290 frames) plus a run's writes (~200) without growing. *)
 let initial_stack = 1024
 
+let new_stack ~frames = { items = Array.make (min frames initial_stack) 0; top = 0 }
+
+let push s ~frames i =
+  if s.top = Array.length s.items then begin
+    let items = Array.make (min frames (2 * s.top)) 0 in
+    Array.blit s.items 0 items 0 s.top;
+    s.items <- items
+  end;
+  s.items.(s.top) <- i;
+  s.top <- s.top + 1
+
 let create ~frames =
-  let tracker =
-    {
-      dirty_map = Bytes.make frames '\000';
-      stack = Array.make (min frames initial_stack) 0;
-      top = 0;
-    }
-  in
   {
-    descs =
-      Array.init frames (fun index ->
-          {
-            index;
-            validated = false;
-            use_count = 0;
-            ptype = Free;
-            owner = -1;
-            tracker;
-          });
+    descs = Array.make frames created;
     g_use_count = Array.make frames 0;
     g_owner = Array.make frames (-1);
     g_flags = Bytes.make frames fresh_flags;
     free_head = 0;
     g_free_head = 0;
-    tracker;
+    tracker = { dirty_map = Bytes.make frames '\000'; dirty = new_stack ~frames };
+    born = new_stack ~frames;
     tracking_ok = true;
   }
 
 let frames t = Array.length t.descs
-let get t i = t.descs.(i)
+
+(* Give frame [i] its own created-state record and log its birth. *)
+let[@inline never] materialize t i =
+  let d =
+    { index = i; validated = false; use_count = 0; ptype = Free; owner = -1; tracker = t.tracker }
+  in
+  t.descs.(i) <- d;
+  push t.born ~frames:(frames t) i;
+  d
+
+(* The descriptor of frame [i], materialized on first reach: the result
+   may be written (through {!touch} or the mutators below). *)
+let get t i =
+  let d = t.descs.(i) in
+  if d != created then d else materialize t i
+
+(* Frame [i]'s current field values without materializing it: {!created}
+   for a frame never written. Never write through the result. *)
+let peek t i = t.descs.(i)
 
 (* Mark a descriptor as modified since the last snapshot. First touch
    pushes its index on the dirty stack; subsequent touches are a byte
@@ -138,77 +189,74 @@ let touch (d : desc) =
   let tr = d.tracker in
   if Bytes.get tr.dirty_map d.index = '\000' then begin
     Bytes.set tr.dirty_map d.index '\001';
-    if tr.top = Array.length tr.stack then begin
-      let cap = min (Bytes.length tr.dirty_map) (2 * tr.top) in
-      let stack = Array.make cap 0 in
-      Array.blit tr.stack 0 stack 0 tr.top;
-      tr.stack <- stack
-    end;
-    tr.stack.(tr.top) <- d.index;
-    tr.top <- tr.top + 1
+    push tr.dirty ~frames:(Bytes.length tr.dirty_map) d.index
   end
 
 (* Refresh the golden image: copy the live fields of every descriptor
-   written since the previous snapshot and drain the dirty stack.
-   O(changed frames). *)
+   written since the previous snapshot and drain both stacks; frames born
+   since then become part of the baseline. O(changed frames). *)
 let snapshot t =
-  let tr = t.tracker in
-  for k = 0 to tr.top - 1 do
-    let i = tr.stack.(k) in
+  let dirty = t.tracker.dirty in
+  for k = 0 to dirty.top - 1 do
+    let i = dirty.items.(k) in
     let d = t.descs.(i) in
     t.g_use_count.(i) <- d.use_count;
     t.g_owner.(i) <- d.owner;
     Bytes.set t.g_flags i
       (Char.chr ((ptype_code d.ptype lsl 1) lor Bool.to_int d.validated));
-    Bytes.set tr.dirty_map i '\000'
+    Bytes.set t.tracker.dirty_map i '\000'
   done;
-  tr.top <- 0;
+  dirty.top <- 0;
+  t.born.top <- 0;
   t.g_free_head <- t.free_head;
   t.tracking_ok <- true
 
 (* Rewind every descriptor written since the last snapshot back to its
-   golden image. O(changed frames); repeatable (the dirty stack is
-   drained, later writes re-dirty). *)
+   golden image, then return the frames born since then to the shared
+   descriptor (a frame that was still shared at the snapshot has the
+   created state as its golden image). O(changed frames); repeatable
+   (both stacks are drained, later writes re-dirty). *)
 let restore t =
-  let tr = t.tracker in
-  for k = 0 to tr.top - 1 do
-    let i = tr.stack.(k) in
+  let dirty = t.tracker.dirty in
+  for k = 0 to dirty.top - 1 do
+    let i = dirty.items.(k) in
     let d = t.descs.(i) in
     let flags = Char.code (Bytes.get t.g_flags i) in
     d.validated <- flags land 1 = 1;
     d.use_count <- t.g_use_count.(i);
     d.ptype <- ptype_of_code.(flags lsr 1);
     d.owner <- t.g_owner.(i);
-    Bytes.set tr.dirty_map i '\000'
+    Bytes.set t.tracker.dirty_map i '\000'
   done;
-  tr.top <- 0;
+  dirty.top <- 0;
+  let born = t.born in
+  for k = 0 to born.top - 1 do
+    t.descs.(born.items.(k)) <- created
+  done;
+  born.top <- 0;
   t.free_head <- t.g_free_head;
   t.tracking_ok <- true
 
-let dirty_count t = t.tracker.top
+let dirty_count t = t.tracker.dirty.top
+let born_count t = t.born.top
 let tracking_usable t = t.tracking_ok
 let invalidate_tracking t = t.tracking_ok <- false
 
-(* Return every descriptor to its created state and rewind the allocation
-   cursor, so a reused table hands out frames in exactly fresh-boot order.
-   Must touch all descriptors: injected corruption can dirty any frame.
-   The golden image is rewound too -- after a reset the table looks
-   exactly as created, snapshot baseline included. *)
+(* Return every frame to the shared created-state descriptor and rewind
+   the allocation cursor, so a reused table hands out frames in exactly
+   fresh-boot order. Covers every index: an untracked wild write can land
+   in any materialized frame. The golden image is rewound too -- after a
+   reset the table looks exactly as created, snapshot baseline
+   included. *)
 let reset t =
-  let descs = t.descs in
-  for i = 0 to Array.length descs - 1 do
-    let d = descs.(i) in
-    d.validated <- false;
-    d.use_count <- 0;
-    d.ptype <- Free;
-    d.owner <- -1
-  done;
   let n = frames t in
+  Array.fill t.descs 0 n created;
   Array.fill t.g_use_count 0 n 0;
   Array.fill t.g_owner 0 n (-1);
   Bytes.fill t.g_flags 0 n fresh_flags;
   Bytes.fill t.tracker.dirty_map 0 n '\000';
-  t.tracker.top <- 0;
+  t.tracker.dirty.top <- 0;
+  t.born.top <- 0;
   t.free_head <- 0;
   t.g_free_head <- 0;
   t.tracking_ok <- true
@@ -222,12 +270,13 @@ let alloc_frame t ~owner ~ptype =
     if tries > n then Crash.panic "pfn: out of physical frames"
     else begin
       let d = t.descs.(i mod n) in
-      if d.ptype = Free && d.use_count = 0 && not d.validated then d
+      if d.ptype = Free && d.use_count = 0 && not d.validated then i mod n
       else find (tries + 1) (i + 1)
     end
   in
-  let d = find 0 t.free_head in
-  t.free_head <- (d.index + 1) mod n;
+  let i = find 0 t.free_head in
+  let d = get t i in
+  t.free_head <- (i + 1) mod n;
   touch d;
   d.ptype <- ptype;
   d.owner <- owner;
@@ -310,16 +359,17 @@ let fix_desc d =
     true
   end
 
-(* The recovery-time scan: walk every descriptor, detect validation-bit /
+(* The recovery-time scan: walk every frame, detect validation-bit /
    use-counter disagreement and repair it. Returns the number of
    descriptors repaired. Latency is charged by the caller (proportional
-   to [frames t]). *)
+   to [frames t]). The shared descriptor is consistent by construction,
+   so the walk skips it without reading its fields. *)
 let scan_and_fix t =
   let descs = t.descs in
   let fixed = ref 0 in
   for i = 0 to Array.length descs - 1 do
     let d = descs.(i) in
-    if not (consistent d) then begin
+    if d != created && not (consistent d) then begin
       repair d;
       incr fixed
     end
@@ -336,10 +386,10 @@ let scan_and_fix t =
    is a no-op here). Latency is charged by the caller, proportional to
    [dirty_count t]. *)
 let scan_and_fix_dirty t =
-  let tr = t.tracker in
+  let dirty = t.tracker.dirty in
   let fixed = ref 0 in
-  for k = 0 to tr.top - 1 do
-    if fix_desc t.descs.(tr.stack.(k)) then incr fixed
+  for k = 0 to dirty.top - 1 do
+    if fix_desc t.descs.(dirty.items.(k)) then incr fixed
   done;
   !fixed
 
@@ -347,9 +397,12 @@ let count_inconsistent t =
   let descs = t.descs in
   let bad = ref 0 in
   for i = 0 to Array.length descs - 1 do
-    if not (consistent descs.(i)) then incr bad
+    let d = descs.(i) in
+    if d != created && not (consistent d) then incr bad
   done;
   !bad
 
 let free_frames t =
-  Array.fold_left (fun acc d -> if d.ptype = Free then acc + 1 else acc) 0 t.descs
+  Array.fold_left
+    (fun acc d -> if d == created || d.ptype = Free then acc + 1 else acc)
+    0 t.descs

@@ -72,26 +72,27 @@ let random_domain hv rng ~app_only =
   | [] -> None
   | l -> Some (List.nth l (Sim.Rng.int rng (List.length l)))
 
+(* A wild write's target frame, biased towards frames that are actually
+   in use, as wild writes land in hot data structures. The probe reads
+   through [Pfn.peek], so only the frame written is materialized. *)
+let pick_frame hv rng =
+  let pfn = hv.Hypervisor.pfn in
+  let frames = Pfn.frames pfn in
+  let rec pick tries =
+    let i = Sim.Rng.int rng frames in
+    if (Pfn.peek pfn i).Pfn.use_count > 0 || tries > 16 then Pfn.get pfn i
+    else pick (tries + 1)
+  in
+  pick 0
+
 let apply hv rng target =
   match target with
   | Pfn_validated_flip ->
-    let frames = Hypervisor.frames hv in
-    (* Bias towards frames that are actually in use, as wild writes land
-       in hot data structures. *)
-    let rec pick tries =
-      let d = Pfn.get hv.Hypervisor.pfn (Sim.Rng.int rng frames) in
-      if d.Pfn.use_count > 0 || tries > 16 then d else pick (tries + 1)
-    in
-    let d = pick 0 in
+    let d = pick_frame hv rng in
     Pfn.touch d;
     d.Pfn.validated <- not d.Pfn.validated
   | Pfn_use_count_skew ->
-    let frames = Hypervisor.frames hv in
-    let rec pick tries =
-      let d = Pfn.get hv.Hypervisor.pfn (Sim.Rng.int rng frames) in
-      if d.Pfn.use_count > 0 || tries > 16 then d else pick (tries + 1)
-    in
-    let d = pick 0 in
+    let d = pick_frame hv rng in
     let delta = [| -2; -1; 1; 2 |].(Sim.Rng.int rng 4) in
     Pfn.touch d;
     d.Pfn.use_count <- d.Pfn.use_count + delta
@@ -159,12 +160,7 @@ let apply hv rng target =
        type no longer matches its references. [scan_and_fix] repairs the
        disagreement at recovery time; until then get_page/put_page and
        the allocator can trip over it. *)
-    let frames = Hypervisor.frames hv in
-    let rec pick tries =
-      let d = Pfn.get hv.Hypervisor.pfn (Sim.Rng.int rng frames) in
-      if d.Pfn.use_count > 0 || tries > 16 then d else pick (tries + 1)
-    in
-    let d = pick 0 in
+    let d = pick_frame hv rng in
     Pfn.touch d;
     d.Pfn.ptype <-
       (match d.Pfn.ptype with

@@ -155,7 +155,7 @@ let pfn_scribble t i ~salt =
 
 let pfn_fields t =
   Array.init (Hyper.Pfn.frames t) (fun i ->
-      let d = Hyper.Pfn.get t i in
+      let d = Hyper.Pfn.peek t i in
       Hyper.Pfn.(d.validated, d.use_count, d.ptype, d.owner))
 
 (* Index of the first frame whose fields differ, or -1. *)
@@ -207,6 +207,112 @@ let test_pfn_reset_rewinds_baseline () =
     (first_mismatch fresh (pfn_fields t));
   checki "first allocation" 0
     (Hyper.Pfn.alloc_frame t ~owner:1 ~ptype:Hyper.Pfn.Writable).Hyper.Pfn.index
+
+(* ------------------------- Sparse pfn table -------------------------- *)
+
+let created_state (d : Hyper.Pfn.desc) =
+  Hyper.Pfn.(d.validated, d.use_count, d.ptype, d.owner) = (false, 0, Hyper.Pfn.Free, -1)
+
+let count_shared pfn =
+  let n = ref 0 in
+  for i = 0 to Hyper.Pfn.frames pfn - 1 do
+    if Hyper.Pfn.peek pfn i == Hyper.Pfn.created then incr n
+  done;
+  !n
+
+let test_pfn_shared_survives_corruption () =
+  (* A campaign of data faults, then every pfn wild-write target 200
+     times on one machine. Most probes miss the ~290 in-use frames, so
+     the writes land on never-touched frames: each must materialize its
+     own record, never write the shared one. *)
+  ignore
+    (Inject.Campaign.run ~jobs:1 ~n:40
+       { Inject.Run.default_config with Inject.Run.fault = Inject.Fault.Data });
+  let hv = boot () in
+  let pfn = hv.Hyper.Hypervisor.pfn in
+  let rng = Sim.Rng.create 5L in
+  List.iter
+    (fun target ->
+      for _ = 1 to 200 do
+        Inject.Corrupt.apply hv rng target
+      done)
+    Inject.Corrupt.[ Pfn_validated_flip; Pfn_use_count_skew; Pfn_type_scramble ];
+  checkb "shared descriptor reads as created" true (created_state Hyper.Pfn.created);
+  checki "its index is no frame" (-1) Hyper.Pfn.created.Hyper.Pfn.index;
+  checkb "never-touched frames still share it" true
+    (count_shared pfn > Hyper.Pfn.frames pfn - 1000);
+  checkb "a new table reads as created" true
+    (Array.for_all (fun f -> f = (false, 0, Hyper.Pfn.Free, -1))
+       (pfn_fields (Hyper.Pfn.create ~frames:64)))
+
+let test_pfn_run_words_history_free () =
+  (* A seed's minor words must not depend on the runs its worker served
+     before: [restore] returns the frames a run materialized to the
+     shared descriptor. *)
+  List.iter
+    (fun fault ->
+      let cfg = { Inject.Run.default_config with Inject.Run.fault } in
+      let words_of w seed =
+        let cfg = { cfg with Inject.Run.seed } in
+        minor_words (fun () -> ignore (Inject.Run.execute_into w cfg))
+      in
+      let first = words_of (Inject.Run.prepare cfg) 77L in
+      let w = Inject.Run.prepare cfg in
+      for i = 1 to 50 do
+        ignore (Inject.Run.execute_into w { cfg with Inject.Run.seed = Int64.of_int (500 + i) })
+      done;
+      Alcotest.(check (float 0.0))
+        (Inject.Fault.name fault ^ ": words first vs after 50 seeds")
+        first (words_of w 77L))
+    Inject.Fault.[ Failstop; Data ]
+
+let test_pfn_reboot_in_place_like_fresh () =
+  (* An in-place reboot returns every frame to the shared descriptor:
+     it allocates what a reboot of a just-booted machine allocates, and
+     the machine then digests and runs like a fresh boot. *)
+  let used = boot () in
+  Twin.warmup used (Sim.Rng.create 3L) ~steps:200;
+  let rng = Sim.Rng.create 4L in
+  for _ = 1 to 50 do
+    Inject.Corrupt.apply used rng Inject.Corrupt.Pfn_type_scramble
+  done;
+  ignore (Hyper.Pfn.scan_and_fix used.Hyper.Hypervisor.pfn);
+  let reboot hv =
+    minor_words (fun () ->
+        Hyper.Hypervisor.reboot_in_place hv ~config:Hyper.Config.nilihype
+          ~setup:Hyper.Hypervisor.Three_appvm ~vcpus_per_cpu:1)
+  in
+  let just_booted = boot () in
+  Alcotest.(check (float 0.0)) "reboot words" (reboot just_booted) (reboot used);
+  let fresh = boot () in
+  Alcotest.(check string) "digest after boot" (Twin.digest fresh) (Twin.digest used);
+  let warm hv = minor_words (fun () -> Twin.warmup hv (Sim.Rng.create 9L) ~steps:200) in
+  Alcotest.(check (float 0.0)) "warmup words" (warm fresh) (warm used);
+  Alcotest.(check string) "digest after warmup" (Twin.digest fresh) (Twin.digest used)
+
+let test_pfn_wild_write_untouched_frame () =
+  (* An untracked wild write to a frame no run ever reached: [get]
+     materializes it (a birth, not a write: the dirty count stays 0),
+     and both full walks see the damage. *)
+  let hv = boot () in
+  Hyper.Hypervisor.rebaseline hv;
+  let pfn = hv.Hyper.Hypervisor.pfn in
+  let i = Hyper.Pfn.frames pfn - 1 in
+  checkb "never touched" true (Hyper.Pfn.peek pfn i == Hyper.Pfn.created);
+  (Hyper.Pfn.get pfn i).Hyper.Pfn.validated <- true;
+  checki "born" 1 (Hyper.Pfn.born_count pfn);
+  checki "not dirty" 0 (Hyper.Pfn.dirty_count pfn);
+  checkb "shared descriptor untouched" true (created_state Hyper.Pfn.created);
+  checki "audit finds it" 1 (Hyper.Hypervisor.audit hv).Hyper.Hypervisor.pfn_inconsistent;
+  checki "full scan repairs it" 1 (Hyper.Pfn.scan_and_fix pfn);
+  checki "consistent" 0 (Hyper.Pfn.count_inconsistent pfn)
+
+let test_pfn_ledger_capture_materializes_nothing () =
+  let hv = boot () in
+  Hyper.Hypervisor.rebaseline hv;
+  ignore (Hyper.Ledger.capture hv);
+  checki "born stack empty after a capture" 0
+    (Hyper.Pfn.born_count hv.Hyper.Hypervisor.pfn)
 
 (* ------------------------- Spinlock --------------------------------- *)
 
@@ -813,6 +919,15 @@ let () =
             test_pfn_restore_exact_past_stack_capacity;
           Alcotest.test_case "reset rewinds baseline" `Quick
             test_pfn_reset_rewinds_baseline;
+          Alcotest.test_case "shared descriptor survives corruption" `Quick
+            test_pfn_shared_survives_corruption;
+          Alcotest.test_case "run words history-free" `Quick test_pfn_run_words_history_free;
+          Alcotest.test_case "reboot_in_place like fresh boot" `Quick
+            test_pfn_reboot_in_place_like_fresh;
+          Alcotest.test_case "wild write to untouched frame" `Quick
+            test_pfn_wild_write_untouched_frame;
+          Alcotest.test_case "ledger capture materializes nothing" `Quick
+            test_pfn_ledger_capture_materializes_nothing;
         ] );
       ( "spinlock",
         [
