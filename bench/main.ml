@@ -833,9 +833,10 @@ let endurance opts =
 (* (by previous-run outcome class) and clone fan-out throughput vs      *)
 (* per-variant re-preparation, with fan-out aggregates asserted         *)
 (* bit-identical across --jobs. Written to BENCH_snapshot.json.         *)
-(* Gates: a fresh boot allocates <= [max_fresh_boot_words]; restore    *)
-(* <= 15% of fresh-boot minor words; fan-out >= 2x the re-prepare       *)
-(* baseline at jobs=1.                                                  *)
+(* Gates: a fresh boot allocates <= [max_fresh_boot_words]; a boot and  *)
+(* a restored run keep <= [max_live_frames] pfn frames materialized;    *)
+(* restore <= 15% of fresh-boot minor words; fan-out >= 2x the          *)
+(* re-prepare baseline at jobs=1.                                       *)
 (* ------------------------------------------------------------------ *)
 
 let snapshot_file = "BENCH_snapshot.json" (* see [scaling_file] *)
@@ -845,6 +846,11 @@ let snapshot_file = "BENCH_snapshot.json" (* see [scaling_file] *)
    writes; a table that builds a record per frame again (475k words)
    fails here. *)
 let max_fresh_boot_words = 21_500.0
+
+(* Materialized page frames (the pfn live stack's depth) after a fresh
+   boot (measured 288) and at the end of any restored run (at most 470):
+   the live stack's initial size, so a campaign run never grows it. *)
+let max_live_frames = 1_024
 
 let snapshot_bench opts =
   hr "Snapshot/restore: O(changed-state) rewind and clone fan-out";
@@ -867,6 +873,9 @@ let snapshot_bench opts =
   let fresh_ns =
     (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int boot_iters
   in
+  let live_frames hv = Hyper.Pfn.live_count hv.Hyper.Hypervisor.pfn in
+  let boot_live = live_frames (Inject.Run.boot_state base_cfg).Inject.Run.hv in
+  let run_live = ref 0 in
   (* --- Restore cost, bucketed by the outcome class of the run that
      dirtied the machine (the dirty set -- and hence the restore cost --
      depends on how far the run got). [died] = detected but unrecovered,
@@ -886,6 +895,7 @@ let snapshot_bench opts =
     for i = 0 to n - 1 do
       let cfg = { cfg with Inject.Run.seed = Int64.of_int (seed0 + i) } in
       let out = Inject.Run.execute_into w cfg in
+      run_live := max !run_live (live_frames w.Inject.Run.w_hv);
       let cls =
         match out with
         | Inject.Run.Detected d when not d.Inject.Run.recovered -> "died"
@@ -916,6 +926,8 @@ let snapshot_bench opts =
   in
   Format.printf "fresh boot : %10.0f minor words  %10.0f ns@." fresh_words
     fresh_ns;
+  Format.printf "pfn live frames: %d after a fresh boot, <= %d after a run@."
+    boot_live !run_live;
   let class_rows =
     List.sort compare
       (Hashtbl.fold (fun cls acc l -> (cls, acc) :: l) classes [])
@@ -971,6 +983,10 @@ let snapshot_bench opts =
           ("benchmark", String "snapshot");
           ("fresh_boot_minor_words", Number fresh_words);
           ("fresh_boot_ns", Number fresh_ns);
+          ( "pfn_live_frames",
+            Obj
+              [ ("fresh_boot", of_int boot_live); ("after_restored_run", of_int !run_live) ]
+          );
           ("restore_minor_words", Number restore_words);
           ("restore_fraction_of_fresh_boot", Number restore_fraction);
           ( "restore_by_outcome",
@@ -995,6 +1011,9 @@ let snapshot_bench opts =
   gate (fresh_words <= max_fresh_boot_words)
     "a fresh boot allocates %.0f minor words (ceiling %.0f)" fresh_words
     max_fresh_boot_words;
+  gate (boot_live <= max_live_frames && !run_live <= max_live_frames)
+    "pfn live frames %d after a boot and %d after a run (ceiling %d)" boot_live
+    !run_live max_live_frames;
   gate (restore_fraction <= 0.15)
     "restore costs %.1f%% of a fresh boot in minor words (ceiling 15%%)"
     (100.0 *. restore_fraction);

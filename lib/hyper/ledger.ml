@@ -99,18 +99,16 @@ let capture (hv : Hypervisor.t) =
   let frames_page_table = ref 0 and frames_writable = ref 0 in
   let orphan_frames = ref 0 in
   let pfn = hv.Hypervisor.pfn in
-  for i = 0 to Pfn.frames pfn - 1 do
-    let d = Pfn.peek pfn i in
-    if d.Pfn.ptype <> Pfn.Free then begin
-      incr frames_used;
-      (match d.Pfn.ptype with
-      | Pfn.Page_table -> incr frames_page_table
-      | Pfn.Writable -> incr frames_writable
-      | Pfn.Free | Pfn.Segdesc | Pfn.Shared | Pfn.Xenheap -> ());
-      if not (is_live d.Pfn.owner && Hashtbl.mem owned (d.Pfn.owner, i)) then
-        incr orphan_frames
-    end
-  done;
+  Pfn.iter_live pfn (fun d ->
+      if d.Pfn.ptype <> Pfn.Free then begin
+        incr frames_used;
+        (match d.Pfn.ptype with
+        | Pfn.Page_table -> incr frames_page_table
+        | Pfn.Writable -> incr frames_writable
+        | Pfn.Free | Pfn.Segdesc | Pfn.Shared | Pfn.Xenheap -> ());
+        if not (is_live d.Pfn.owner && Hashtbl.mem owned (d.Pfn.owner, d.Pfn.index))
+        then incr orphan_frames
+      end);
   let stale_frame_refs = ref 0 in
   Hashtbl.iter
     (fun (domid, f) () ->

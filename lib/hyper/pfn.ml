@@ -15,12 +15,17 @@
     that has not been written since the table was created or reset
     holds one shared, read-only descriptor, {!created}. {!get}
     materializes a frame's own record on first reach; the non-
-    materializing read {!peek} is for read-only walks (the resource
-    ledger, the injector's target probe). The whole-table walks
-    ({!scan_and_fix}, {!count_inconsistent}, {!free_frames}) still visit
-    every index -- the recovery scan's cost model is O(frames) -- but skip
-    the shared descriptor by physical equality, so they are plain [for]
-    loops over an array that mostly holds one pointer.
+    materializing read {!peek} is for read-only probes (the injector's
+    target probe, the fleet's victim search, test digests). Every
+    materialization is pushed on the table's live stack, so the
+    whole-table walks ({!scan_and_fix}, {!count_inconsistent},
+    {!free_frames}, {!iter_live}, {!reset}) visit only the frames that
+    have a record of their own, not all 64 Ki slots: every other frame
+    holds {!created}, which is consistent and free by construction. The recovery scan's simulated cost model
+    stays O(frames) (charged by the caller); only its host cost follows
+    the live frames. The full scan reads only the live stack, never the
+    dirty tracking, so a wild write that bypassed {!touch} is still
+    found: reaching a frame through {!get} is what gives it a record.
 
     The table also carries the copy-on-write machinery behind
     {!Hypervisor.rebaseline}, kept out of the descriptors:
@@ -30,20 +35,21 @@
     - dirty tracking is a one-byte-per-frame map plus a growable stack
       of dirty frame indices, reached from each descriptor through its
       table's [tracker];
-    - a second stack records the frames materialized since the last
-      golden refresh ("born"). It is kept apart from the dirty stack, so
-      materializing a frame on a read does not count as a write:
-      {!dirty_count} and the incremental scan's simulated latency do not
-      move.
+    - the frames materialized since the last golden refresh ("born") are
+      the suffix of the live stack above the [golden_live] cursor. They
+      are kept apart from the dirty stack, so materializing a frame on a
+      read does not count as a write: {!dirty_count} and the incremental
+      scan's simulated latency do not move.
     {!snapshot}, {!restore}, {!scan_and_fix_dirty} and {!dirty_count}
-    walk only those stacks -- O(changed frames), not O(all frames).
-    {!restore} returns born frames to the shared descriptor and {!reset}
-    returns every frame to it, so a run's allocations do not depend on
-    which runs the table served before. Mutators inside this module mark
-    descriptors dirty themselves; the few external writers (the
-    journal's undo arms, the fault injector's wild writes) call {!touch}
-    explicitly. A descriptor obtained before a {!restore} or {!reset} is
-    stale after it: fetch it again with {!get}. *)
+    walk only the dirty stack and the born suffix -- O(changed frames),
+    not O(all frames). {!restore} returns born frames to the shared
+    descriptor and {!reset} returns every live frame to it, so a run's
+    allocations do not depend on which runs the table served before.
+    Mutators inside this module mark descriptors dirty themselves; the
+    few external writers (the journal's undo arms, the fault injector's
+    wild writes) call {!touch} explicitly. A descriptor obtained before
+    a {!restore} or {!reset} is stale after it: fetch it again with
+    {!get}. *)
 
 type page_type =
   | Free
@@ -82,7 +88,10 @@ type t = {
   mutable free_head : int; (* cursor for simple free-frame allocation *)
   mutable g_free_head : int; (* free_head at the last snapshot *)
   tracker : tracker;
-  born : stack; (* frames materialized since the last snapshot *)
+  live : stack; (* every materialized frame, each once, in birth order *)
+  mutable golden_live : int;
+      (* [live.top] at the last snapshot: the born frames are
+         [live.items.(golden_live .. top-1)] *)
   mutable tracking_ok : bool;
       (* Is the dirty tracking itself trustworthy? The incremental
          recovery scan walks only the dirty stack, which is sound
@@ -134,7 +143,8 @@ let created =
 
 (* The index stacks double on demand, never past the frame count (a frame
    is pushed at most once per drain). The initial size covers a campaign
-   boot (~290 frames) plus a run's writes (~200) without growing. *)
+   boot (~290 frames) plus a run's writes and births (~200) without
+   growing. *)
 let initial_stack = 1024
 
 let new_stack ~frames = { items = Array.make (min frames initial_stack) 0; top = 0 }
@@ -157,7 +167,8 @@ let create ~frames =
     free_head = 0;
     g_free_head = 0;
     tracker = { dirty_map = Bytes.make frames '\000'; dirty = new_stack ~frames };
-    born = new_stack ~frames;
+    live = new_stack ~frames;
+    golden_live = 0;
     tracking_ok = true;
   }
 
@@ -169,7 +180,7 @@ let[@inline never] materialize t i =
     { index = i; validated = false; use_count = 0; ptype = Free; owner = -1; tracker = t.tracker }
   in
   t.descs.(i) <- d;
-  push t.born ~frames:(frames t) i;
+  push t.live ~frames:(frames t) i;
   d
 
 (* The descriptor of frame [i], materialized on first reach: the result
@@ -193,8 +204,8 @@ let touch (d : desc) =
   end
 
 (* Refresh the golden image: copy the live fields of every descriptor
-   written since the previous snapshot and drain both stacks; frames born
-   since then become part of the baseline. O(changed frames). *)
+   written since the previous snapshot and drain the dirty stack; frames
+   born since then become part of the baseline. O(changed frames). *)
 let snapshot t =
   let dirty = t.tracker.dirty in
   for k = 0 to dirty.top - 1 do
@@ -207,15 +218,16 @@ let snapshot t =
     Bytes.set t.tracker.dirty_map i '\000'
   done;
   dirty.top <- 0;
-  t.born.top <- 0;
+  t.golden_live <- t.live.top;
   t.g_free_head <- t.free_head;
   t.tracking_ok <- true
 
 (* Rewind every descriptor written since the last snapshot back to its
    golden image, then return the frames born since then to the shared
    descriptor (a frame that was still shared at the snapshot has the
-   created state as its golden image). O(changed frames); repeatable
-   (both stacks are drained, later writes re-dirty). *)
+   created state as its golden image) and truncate the live stack back
+   to the snapshot's. O(changed frames); repeatable (later writes
+   re-dirty, later births push again). *)
 let restore t =
   let dirty = t.tracker.dirty in
   for k = 0 to dirty.top - 1 do
@@ -229,34 +241,41 @@ let restore t =
     Bytes.set t.tracker.dirty_map i '\000'
   done;
   dirty.top <- 0;
-  let born = t.born in
-  for k = 0 to born.top - 1 do
-    t.descs.(born.items.(k)) <- created
+  let live = t.live in
+  for k = t.golden_live to live.top - 1 do
+    t.descs.(live.items.(k)) <- created
   done;
-  born.top <- 0;
+  live.top <- t.golden_live;
   t.free_head <- t.g_free_head;
   t.tracking_ok <- true
 
 let dirty_count t = t.tracker.dirty.top
-let born_count t = t.born.top
+let born_count t = t.live.top - t.golden_live
+let live_count t = t.live.top
 let tracking_usable t = t.tracking_ok
 let invalidate_tracking t = t.tracking_ok <- false
 
 (* Return every frame to the shared created-state descriptor and rewind
    the allocation cursor, so a reused table hands out frames in exactly
-   fresh-boot order. Covers every index: an untracked wild write can land
-   in any materialized frame. The golden image is rewound too -- after a
-   reset the table looks exactly as created, snapshot baseline
-   included. *)
+   fresh-boot order. The golden image and the dirty map are rewound
+   too -- after a reset the table looks exactly as created, snapshot
+   baseline included. Walking the live stack covers every index that can
+   differ from created: only a materialized frame can be dirtied, so
+   only a live frame can hold a golden entry or a dirty byte of its
+   own. *)
 let reset t =
-  let n = frames t in
-  Array.fill t.descs 0 n created;
-  Array.fill t.g_use_count 0 n 0;
-  Array.fill t.g_owner 0 n (-1);
-  Bytes.fill t.g_flags 0 n fresh_flags;
-  Bytes.fill t.tracker.dirty_map 0 n '\000';
+  let live = t.live in
+  for k = 0 to live.top - 1 do
+    let i = live.items.(k) in
+    t.descs.(i) <- created;
+    t.g_use_count.(i) <- 0;
+    t.g_owner.(i) <- -1;
+    Bytes.set t.g_flags i fresh_flags;
+    Bytes.set t.tracker.dirty_map i '\000'
+  done;
+  live.top <- 0;
+  t.golden_live <- 0;
   t.tracker.dirty.top <- 0;
-  t.born.top <- 0;
   t.free_head <- 0;
   t.g_free_head <- 0;
   t.tracking_ok <- true
@@ -359,17 +378,19 @@ let fix_desc d =
     true
   end
 
-(* The recovery-time scan: walk every frame, detect validation-bit /
-   use-counter disagreement and repair it. Returns the number of
-   descriptors repaired. Latency is charged by the caller (proportional
-   to [frames t]). The shared descriptor is consistent by construction,
-   so the walk skips it without reading its fields. *)
+(* The recovery-time scan: walk every frame that has a record, detect
+   validation-bit / use-counter disagreement and repair it. Returns the
+   number of descriptors repaired. Latency is charged by the caller
+   (proportional to [frames t]). The frames off the live stack all hold
+   the shared descriptor, consistent by construction. Unlike
+   [scan_and_fix_dirty] this trusts no dirty tracking, so it also finds
+   writes that bypassed {!touch}. *)
 let scan_and_fix t =
-  let descs = t.descs in
+  let live = t.live and descs = t.descs in
   let fixed = ref 0 in
-  for i = 0 to Array.length descs - 1 do
-    let d = descs.(i) in
-    if d != created && not (consistent d) then begin
+  for k = 0 to live.top - 1 do
+    let d = descs.(live.items.(k)) in
+    if not (consistent d) then begin
       repair d;
       incr fixed
     end
@@ -394,15 +415,26 @@ let scan_and_fix_dirty t =
   !fixed
 
 let count_inconsistent t =
-  let descs = t.descs in
+  let live = t.live and descs = t.descs in
   let bad = ref 0 in
-  for i = 0 to Array.length descs - 1 do
-    let d = descs.(i) in
-    if d != created && not (consistent d) then incr bad
+  for k = 0 to live.top - 1 do
+    if not (consistent descs.(live.items.(k))) then incr bad
   done;
   !bad
 
+(* Every frame off the live stack is free. *)
 let free_frames t =
-  Array.fold_left
-    (fun acc d -> if d == created || d.ptype = Free then acc + 1 else acc)
-    0 t.descs
+  let live = t.live and descs = t.descs in
+  let used = ref 0 in
+  for k = 0 to live.top - 1 do
+    if descs.(live.items.(k)).ptype <> Free then incr used
+  done;
+  frames t - !used
+
+(* Apply [f] to every materialized descriptor, in birth order. The frames
+   it skips all read as {!created}. Never write through the argument. *)
+let iter_live t f =
+  let live = t.live and descs = t.descs in
+  for k = 0 to live.top - 1 do
+    f descs.(live.items.(k))
+  done

@@ -697,9 +697,9 @@ let retake_image w =
    restore, recapture the ledger and require the orphan view to be
    exactly the image's -- no orphaned frames, held locks, lost recurring
    timers etc. may survive a rewind, whatever the previous run did
-   (fault-free, recovered, or died). [Ledger.capture] walks the whole
-   frame table, so this deliberately stays off in production campaigns
-   and is exercised by the tests. *)
+   (fault-free, recovered, or died). [Ledger.capture] walks every
+   domain, heap object and materialized frame, so this deliberately
+   stays off in production campaigns and is exercised by the tests. *)
 let set_restore_audit w flag =
   w.w_audit_restores <- flag;
   w.w_golden_ledger <-

@@ -270,6 +270,21 @@ let test_pfn_reboot_in_place_like_fresh () =
   (* An in-place reboot returns every frame to the shared descriptor:
      it allocates what a reboot of a just-booted machine allocates, and
      the machine then digests and runs like a fresh boot. *)
+  let like_fresh ~label ~setup used =
+    let what s = label ^ ": " ^ s in
+    let reboot hv =
+      minor_words (fun () ->
+          Hyper.Hypervisor.reboot_in_place hv ~config:Hyper.Config.nilihype ~setup
+            ~vcpus_per_cpu:1)
+    in
+    let just_booted = boot ~setup () in
+    Alcotest.(check (float 0.0)) (what "reboot words") (reboot just_booted) (reboot used);
+    let fresh = boot ~setup () in
+    Alcotest.(check string) (what "digest after boot") (Twin.digest fresh) (Twin.digest used);
+    let warm hv = minor_words (fun () -> Twin.warmup hv (Sim.Rng.create 9L) ~steps:200) in
+    Alcotest.(check (float 0.0)) (what "warmup words") (warm fresh) (warm used);
+    Alcotest.(check string) (what "digest after warmup") (Twin.digest fresh) (Twin.digest used)
+  in
   let used = boot () in
   Twin.warmup used (Sim.Rng.create 3L) ~steps:200;
   let rng = Sim.Rng.create 4L in
@@ -277,18 +292,22 @@ let test_pfn_reboot_in_place_like_fresh () =
     Inject.Corrupt.apply used rng Inject.Corrupt.Pfn_type_scramble
   done;
   ignore (Hyper.Pfn.scan_and_fix used.Hyper.Hypervisor.pfn);
-  let reboot hv =
-    minor_words (fun () ->
-        Hyper.Hypervisor.reboot_in_place hv ~config:Hyper.Config.nilihype
-          ~setup:Hyper.Hypervisor.Three_appvm ~vcpus_per_cpu:1)
-  in
-  let just_booted = boot () in
-  Alcotest.(check (float 0.0)) "reboot words" (reboot just_booted) (reboot used);
-  let fresh = boot () in
-  Alcotest.(check string) "digest after boot" (Twin.digest fresh) (Twin.digest used);
-  let warm hv = minor_words (fun () -> Twin.warmup hv (Sim.Rng.create 9L) ~steps:200) in
-  Alcotest.(check (float 0.0)) "warmup words" (warm fresh) (warm used);
-  Alcotest.(check string) "digest after warmup" (Twin.digest fresh) (Twin.digest used)
+  like_fresh ~label:"3appvm" ~setup:Hyper.Hypervisor.Three_appvm used;
+  (* A 200-tenant machine has ~4,900 live frames, past the live stack's
+     initial size, and frames dirtied both before and after its golden
+     refresh: [Pfn.reset] alone, walking only the live stack, must
+     return every index to the created state. *)
+  let setup = Hyper.Hypervisor.Tenant_fleet 200 in
+  let used = boot ~setup () in
+  Twin.warmup used (Sim.Rng.create 3L) ~steps:200;
+  Hyper.Hypervisor.rebaseline used;
+  Twin.warmup used (Sim.Rng.create 5L) ~steps:100;
+  let pfn = used.Hyper.Hypervisor.pfn in
+  Hyper.Pfn.reset pfn;
+  checki "fleet: every frame shared after reset" (Hyper.Pfn.frames pfn) (count_shared pfn);
+  checki "fleet: no dirty frame after reset" 0 (Hyper.Pfn.dirty_count pfn);
+  checki "fleet: no born frame after reset" 0 (Hyper.Pfn.born_count pfn);
+  like_fresh ~label:"fleet" ~setup used
 
 let test_pfn_wild_write_untouched_frame () =
   (* An untracked wild write to a frame no run ever reached: [get]

@@ -98,6 +98,148 @@ let prop_pfn_scan_restores_consistency =
       ignore (Hyper.Pfn.scan_and_fix t);
       Hyper.Pfn.count_inconsistent t = 0)
 
+(* The sparse table against a reference model that keeps every frame's
+   fields, golden entry and materialized / born / dirty flag in plain
+   per-index arrays. Random sequences of reads, allocations, puts,
+   untracked wild writes, snapshots, restores (births included), resets
+   and full scans must leave every index [peek]ing as the model says;
+   the live-frame walks must count what a walk of every index counts;
+   and a frame must have its own record exactly when it is on the live
+   stack, there exactly once. *)
+let prop_pfn_live_walks_match_oracle =
+  let n = 24 in
+  let fresh = (false, 0, Hyper.Pfn.Free, -1) in
+  let fields (d : Hyper.Pfn.desc) = Hyper.Pfn.(d.validated, d.use_count, d.ptype, d.owner) in
+  let types = Hyper.Pfn.[| Free; Writable; Page_table; Segdesc; Shared; Xenheap |] in
+  QCheck.Test.make ~count:300 ~name:"pfn live-frame walks match an every-index oracle"
+    QCheck.(list_of_size Gen.(int_range 1 80)
+              (triple (int_bound 11) (int_bound (n - 1)) (int_bound 5)))
+    (fun ops ->
+      let t = Hyper.Pfn.create ~frames:n in
+      let cur = Array.make n fresh and gold = Array.make n fresh in
+      let mat = Array.make n false and born = Array.make n false in
+      let dirty = Array.make n false in
+      let head = ref 0 and g_head = ref 0 in
+      let get i =
+        if not mat.(i) then begin
+          mat.(i) <- true;
+          born.(i) <- true
+        end;
+        Hyper.Pfn.get t i
+      in
+      let write i v = dirty.(i) <- true; cur.(i) <- v in
+      let consistent i =
+        match cur.(i) with
+        | vl, use, Hyper.Pfn.Free, owner -> use = 0 && owner = -1 && not vl
+        | _, use, _, _ -> use > 0 && use <= 1_000_000
+      in
+      let is_free i =
+        let _, _, ty, _ = cur.(i) in
+        ty = Hyper.Pfn.Free
+      in
+      let count p = Array.fold_left (fun a b -> if b then a + 1 else a) 0 (Array.init n p) in
+      let check () =
+        let on_stack = Array.make n 0 and stray = ref false in
+        Hyper.Pfn.iter_live t (fun d ->
+            if d == Hyper.Pfn.created then stray := true
+            else on_stack.(d.Hyper.Pfn.index) <- on_stack.(d.Hyper.Pfn.index) + 1);
+        (not !stray)
+        && Array.for_all Fun.id
+             (Array.init n (fun i ->
+                  let d = Hyper.Pfn.peek t i in
+                  fields d = cur.(i)
+                  && (d != Hyper.Pfn.created) = mat.(i)
+                  && on_stack.(i) = if mat.(i) then 1 else 0))
+        && Hyper.Pfn.count_inconsistent t = count (fun i -> not (consistent i))
+        && Hyper.Pfn.free_frames t = count is_free
+        && Hyper.Pfn.dirty_count t = count (fun i -> dirty.(i))
+        && Hyper.Pfn.born_count t = count (fun i -> born.(i))
+      in
+      List.for_all
+        (fun (op, i, v) ->
+          let ok =
+            match op with
+            | 0 | 1 -> ignore (get i); true
+            | 2 | 3 -> (
+              let rec find k =
+                if k = n then None
+                else
+                  let j = (!head + k) mod n in
+                  let vl, use, _, _ = cur.(j) in
+                  if is_free j && use = 0 && not vl then Some j else find (k + 1)
+              in
+              let ptype = types.(1 + (v mod 5)) in
+              match find 0 with
+              | None -> (
+                try ignore (Hyper.Pfn.alloc_frame t ~owner:v ~ptype); false
+                with Hyper.Crash.Hypervisor_crash _ -> true)
+              | Some j ->
+                let d = Hyper.Pfn.alloc_frame t ~owner:v ~ptype in
+                ignore (get j);
+                write j (false, 1, ptype, v);
+                head := (j + 1) mod n;
+                d.Hyper.Pfn.index = j)
+            | 4 -> (
+              let d = get i in
+              let vl, use, ty, owner = cur.(i) in
+              if use <= 0 then
+                try Hyper.Pfn.put_page d; false
+                with Hyper.Crash.Hypervisor_crash _ -> true
+              else begin
+                Hyper.Pfn.put_page d;
+                write i (if use = 1 then fresh else (vl, use - 1, ty, owner));
+                true
+              end)
+            | 5 | 6 ->
+              (* A wild write: no [touch], so no dirty mark. *)
+              let d = get i in
+              (match v with
+              | 0 | 1 -> d.Hyper.Pfn.validated <- not d.Hyper.Pfn.validated
+              | 2 -> d.Hyper.Pfn.use_count <- d.Hyper.Pfn.use_count + 2 - (4 * (i land 1))
+              | _ -> d.Hyper.Pfn.ptype <- types.(v));
+              cur.(i) <- fields d;
+              true
+            | 7 ->
+              Hyper.Pfn.snapshot t;
+              for j = 0 to n - 1 do
+                if dirty.(j) then gold.(j) <- cur.(j);
+                dirty.(j) <- false;
+                born.(j) <- false
+              done;
+              g_head := !head;
+              true
+            | 8 ->
+              Hyper.Pfn.restore t;
+              for j = 0 to n - 1 do
+                if dirty.(j) then cur.(j) <- gold.(j);
+                if born.(j) then begin
+                  cur.(j) <- fresh;
+                  mat.(j) <- false
+                end;
+                dirty.(j) <- false;
+                born.(j) <- false
+              done;
+              head := !g_head;
+              true
+            | 9 ->
+              Hyper.Pfn.reset t;
+              Array.fill cur 0 n fresh;
+              Array.fill gold 0 n fresh;
+              List.iter (fun a -> Array.fill a 0 n false) [ mat; born; dirty ];
+              head := 0;
+              g_head := 0;
+              true
+            | _ ->
+              let bad = List.filter (fun j -> mat.(j) && not (consistent j)) (List.init n Fun.id) in
+              let fixed = Hyper.Pfn.scan_and_fix t in
+              (* [repair] is tested on its own; the model takes its
+                 result and checks that nothing else moved. *)
+              List.iter (fun j -> write j (fields (Hyper.Pfn.peek t j))) bad;
+              fixed = List.length bad
+          in
+          ok && check ())
+        ops)
+
 (* ------------------------- Locks ------------------------------------ *)
 
 (* unlock_all releases exactly the held locks and leaves the segment
@@ -265,6 +407,7 @@ let () =
             prop_timer_heap_property;
             prop_timer_reactivate_complete;
             prop_pfn_scan_restores_consistency;
+            prop_pfn_live_walks_match_oracle;
             prop_static_segment_unlock_all;
             prop_journal_undo_inverts;
             prop_sched_fix_restores_consistency;
