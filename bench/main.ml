@@ -1043,6 +1043,14 @@ let triage_file = "TRIAGE_campaign.json"
    within host noise. *)
 let max_obs_overhead = 5.0
 
+(* The deterministic side of the same cost: postmortem capture may add
+   at most this many minor words per run (on minus off; ~194 measured
+   on a 2-core host), and the recorder keeps exactly one trace event per
+   run with postmortems off and two with them on. *)
+let max_pm_extra_words_per_run = 300.0
+let trace_events_per_run_off = 1.0
+let trace_events_per_run_on = 2.0
+
 let obs_overhead opts =
   hr "Observability overhead: flight recorder + lazy postmortem capture";
   let n = if opts.full then 1000 else 240 in
@@ -1211,6 +1219,7 @@ let obs_overhead opts =
           ("overhead_ceiling_pct", Number max_obs_overhead);
           ("baseline_minor_words_per_run", Number (words_per_run base));
           ("postmortem_minor_words_per_run", Number (words_per_run pm));
+          ("postmortem_extra_words_ceiling", Number max_pm_extra_words_per_run);
           ("baseline_trace_events_per_run", Number base_events);
           ("postmortem_trace_events_per_run", Number pm_events);
           ("identical_results", Bool true);
@@ -1218,6 +1227,16 @@ let obs_overhead opts =
           ("triage_fanout_invariant", Bool true);
           ("repro_signatures_verified", of_int (List.length exemplars));
         ]);
+  let extra_words = words_per_run pm -. words_per_run base in
+  gate
+    (extra_words <= max_pm_extra_words_per_run)
+    "postmortem capture adds %.1f minor words/run (ceiling %.0f)" extra_words
+    max_pm_extra_words_per_run;
+  gate
+    (base_events = trace_events_per_run_off
+    && pm_events = trace_events_per_run_on)
+    "trace events/run off %.2f on %.2f (want %.0f and %.0f)" base_events
+    pm_events trace_events_per_run_off trace_events_per_run_on;
   gate
     (overhead_pct <= max_obs_overhead)
     "postmortem capture costs %.1f%% runs/s (median of %d pairs; ceiling \
@@ -1366,7 +1385,7 @@ let soak opts =
   let pool = Inject.Campaign.prepare_pool ~jobs cfg in
   let ck path =
     {
-      Inject.Campaign.ck_path = path;
+      Inject.Pool.ck_path = path;
       ck_every = 16;
       ck_resume = false;
       ck_stop_after = None;
@@ -1445,7 +1464,7 @@ let soak opts =
       ~oversubscribe ~chunk:64
       ~checkpoint:
         {
-          Inject.Campaign.ck_path = path;
+          Inject.Pool.ck_path = path;
           ck_every = 4;
           ck_resume = resume;
           ck_stop_after = stop_after;

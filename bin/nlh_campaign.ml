@@ -11,7 +11,7 @@ let run_campaign cfg ~n ~seed ~jobs ~chunk ~fanout ~label =
   (match Obs_cli.checkpoint () with
   | Some ck ->
     Format.printf "checkpoint: %s (%d runs aggregated)@."
-      ck.Inject.Campaign.ck_path
+      ck.Inject.Pool.ck_path
       result.Inject.Campaign.totals.Inject.Campaign.runs
   | None -> ());
   Format.printf "%a" Inject.Campaign.pp result;
@@ -30,7 +30,7 @@ let run_campaign cfg ~n ~seed ~jobs ~chunk ~fanout ~label =
           ("runs", of_int n);
           ("base_seed", of_int (Int64.to_int seed));
           ("jobs", of_int result.Inject.Campaign.jobs);
-          ("fanout", of_int fanout);
+          ("fanout", of_int result.Inject.Campaign.fanout);
           ("cores", of_int (Domain.recommended_domain_count ()));
         ]
       !Obs_cli.metrics_file
@@ -42,7 +42,7 @@ let run_campaign cfg ~n ~seed ~jobs ~chunk ~fanout ~label =
         ("label", String label);
         ("runs", of_int n);
         ("base_seed", of_int (Int64.to_int seed));
-        ("fanout", of_int fanout);
+        ("fanout", of_int result.Inject.Campaign.fanout);
       ]
     result.Inject.Campaign.totals.Inject.Campaign.triage;
   if !Obs_cli.trace_file <> "" then

@@ -63,7 +63,7 @@ let () =
   (match Obs_cli.checkpoint () with
   | Some ck ->
     Format.printf "checkpoint: %s (%d scenarios aggregated)@."
-      ck.Inject.Campaign.ck_path result.Endure.totals.Endure.scenarios
+      ck.Inject.Pool.ck_path result.Endure.totals.Endure.scenarios
   | None -> ());
   Format.printf "%a" Endure.pp result;
   Format.printf

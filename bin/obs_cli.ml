@@ -18,7 +18,7 @@ let postmortems_on () = !triage_file <> "" || !postmortem_dir <> ""
 
 (* The checkpoint config assembled from the flags; [None] unless
    --checkpoint was given. *)
-let checkpoint () : Inject.Campaign.checkpoint option =
+let checkpoint () : Inject.Pool.checkpoint option =
   if !checkpoint_file = "" then begin
     if !resume then
       raise (Arg.Bad "--resume requires --checkpoint FILE");
@@ -27,12 +27,19 @@ let checkpoint () : Inject.Campaign.checkpoint option =
   else
     Some
       {
-        Inject.Campaign.ck_path = !checkpoint_file;
-        ck_every = max 1 !checkpoint_every;
+        Inject.Pool.ck_path = !checkpoint_file;
+        ck_every = !checkpoint_every;
         ck_resume = !resume;
         ck_stop_after =
           (if !stop_after_chunks > 0 then Some !stop_after_chunks else None);
       }
+
+(* An integer flag whose values below [min] are a usage error. *)
+let at_least min flag r =
+  Arg.Int
+    (fun v ->
+      if v < min then raise (Arg.Bad (Printf.sprintf "%s must be >= %d" flag min));
+      r := v)
 
 let triage_seed_cap () =
   if !triage_seeds > 0 then Some !triage_seeds else None
@@ -63,7 +70,7 @@ let arg_specs =
       "FILE stream partial aggregates to FILE (nlh-checkpoint/1 schema, \
        atomic rewrite) so the campaign can be resumed after a kill" );
     ( "--checkpoint-every",
-      Arg.Set_int checkpoint_every,
+      at_least 1 "--checkpoint-every" checkpoint_every,
       "N rewrite the checkpoint every N completed chunks (default 16)" );
     ( "--resume",
       Arg.Set resume,
@@ -71,7 +78,7 @@ let arg_specs =
        into the saved aggregate (chunk size and fanout are pinned by the \
        file; --jobs may differ freely)" );
     ( "--stop-after-chunks",
-      Arg.Set_int stop_after_chunks,
+      at_least 0 "--stop-after-chunks" stop_after_chunks,
       "N stop claiming work after N chunks have been published (testing \
        aid: simulates a mid-campaign kill with a consistent checkpoint)" );
     ( "--triage-seeds",

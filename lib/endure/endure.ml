@@ -742,50 +742,16 @@ let totals_of_payload ?triage_seed_cap ~cycles (payload : Obs.Json.t) =
   with Invalid msg -> Error ("payload: " ^ msg)
 
 (* Run [scenarios] endurance scenarios of [cfg], varying only the seed,
-   optionally across OCaml 5 domains. Mirrors {!Inject.Campaign.run}:
-   one long-lived worker machine per domain, reset in place between
-   scenarios; totals merged commutatively, hence jobs-independent.
-   [checkpoint] switches to the streaming chunked engine (see
-   {!Inject.Campaign.run} and {!Inject.Pool.map_chunks}) writing and
-   resuming nlh-checkpoint/1 files with kind "endurance". *)
-let run ?(label = "") ?(base_seed = 77_000L) ?(jobs = 1) ?chunk
-    ?(oversubscribe = false) ?(postmortems = false)
-    ?(checkpoint : Inject.Campaign.checkpoint option) ?triage_seed_cap
-    ~scenarios (cfg : config) =
-  (match checkpoint with
-  | Some _ when postmortems ->
-    invalid_arg "Endure.run: checkpointing does not support postmortems"
-  | _ -> ());
-  let fp = fingerprint ~base_seed ~scenarios cfg in
-  let resumed =
-    match checkpoint with
-    | Some ck when ck.Inject.Campaign.ck_resume -> (
-      match Obs.Checkpoint.read ck.Inject.Campaign.ck_path with
-      | Error msg ->
-        invalid_arg
-          (Printf.sprintf "Endure.run: cannot resume from %s: %s"
-             ck.Inject.Campaign.ck_path msg)
-      | Ok (h, payload) ->
-        if h.Obs.Checkpoint.kind <> "endurance" then
-          invalid_arg
-            (Printf.sprintf
-               "Endure.run: checkpoint kind %S is not an endurance soak"
-               h.Obs.Checkpoint.kind);
-        if h.Obs.Checkpoint.fingerprint <> fp then
-          invalid_arg
-            (Printf.sprintf
-               "Endure.run: checkpoint fingerprint mismatch\n  file: %s\n  \
-                run:  %s"
-               h.Obs.Checkpoint.fingerprint fp);
-        (match totals_of_payload ?triage_seed_cap ~cycles:cfg.cycles payload with
-        | Error msg ->
-          invalid_arg
-            (Printf.sprintf "Endure.run: cannot resume from %s: %s"
-               ck.Inject.Campaign.ck_path msg)
-        | Ok merged -> Some (h, merged)))
-    | _ -> None
-  in
-  let t0 = Unix.gettimeofday () in
+   through the same chunk engine as {!Inject.Campaign.run}
+   ({!Inject.Pool.run_chunks}): one long-lived worker machine per
+   domain, reset in place between scenarios; totals merged
+   commutatively, hence jobs-independent. [checkpoint] writes and
+   resumes nlh-checkpoint/1 files with kind "endurance". *)
+let run ?(label = "") ?(base_seed = 77_000L) ?jobs ?chunk ?oversubscribe
+    ?(postmortems = false) ?(checkpoint : Inject.Pool.checkpoint option)
+    ?triage_seed_cap ~scenarios (cfg : config) =
+  if checkpoint <> None && postmortems then
+    invalid_arg "Endure.run: checkpointing does not support postmortems";
   let worker_of worker i =
     match !worker with
     | Some w -> w
@@ -807,7 +773,7 @@ let run ?(label = "") ?(base_seed = 77_000L) ?(jobs = 1) ?chunk
       worker := Some w;
       w
   in
-  let scenario_into totals worker i =
+  let scenario_into worker totals i =
     let seed = Int64.add base_seed (Int64.of_int i) in
     let w = worker_of worker i in
     add_scenario totals cfg (scenario_on_worker ~postmortems w cfg ~seed);
@@ -815,124 +781,29 @@ let run ?(label = "") ?(base_seed = 77_000L) ?(jobs = 1) ?chunk
       Obs.Metrics.merge_snapshots totals.metrics
         (Obs.Recorder.metrics_snapshot (Inject.Run.worker_recorder w))
   in
-  match checkpoint with
-  | None ->
-    let init _ =
-      ( make_totals ?triage_seed_cap ~cycles:cfg.cycles (),
-        ref None,
-        Gc.minor_words (),
-        ref 0.0 )
-    in
-    let body (totals, worker, _, _) i = scenario_into totals worker i in
-    let totals, _, _, minor_words =
-      Inject.Pool.map_reduce ~jobs ?chunk ~oversubscribe ~n:scenarios ~init
-        ~body
-        ~finish:(fun (_, _, minor_start, minor_words) ->
-          (* [Gc.minor_words] is per-domain in OCaml 5: take the delta in
-             the worker's own domain. *)
-          minor_words := Gc.minor_words () -. minor_start)
-        ~merge:(fun (a, wa, sa, mwa) (b, _, _, mwb) ->
-          merge_into a b;
-          mwa := !mwa +. !mwb;
-          (a, wa, sa, mwa))
-        ()
-    in
-    {
-      config_label = label;
-      cfg;
-      totals;
-      jobs = Inject.Pool.used_jobs ~jobs ~oversubscribe ~n:scenarios ();
-      wall_seconds = Unix.gettimeofday () -. t0;
-      minor_words = !minor_words;
-    }
-  | Some ck ->
-    (* Streaming, checkpointed endurance soak; same engine shape as the
-       campaign path -- fixed chunks, coordinator-side merge, atomic
-       nlh-checkpoint/1 rewrites. *)
-    let chunk_size, merged, done_chunks =
-      match resumed with
-      | Some (h, merged) ->
-        (h.Obs.Checkpoint.chunk, merged, h.Obs.Checkpoint.done_chunks)
-      | None ->
-        let c =
-          match chunk with
-          | Some c -> max 1 c
-          | None -> Inject.Pool.default_chunk ~n:scenarios ~jobs:(max 1 jobs)
-        in
-        let n_chunks =
-          if scenarios <= 0 then 0 else (scenarios + c - 1) / c
-        in
-        ( c,
-          make_totals ?triage_seed_cap ~cycles:cfg.cycles (),
-          Array.make n_chunks false )
-    in
-    let n_chunks = Array.length done_chunks in
-    (match resumed with
-    | Some (h, _) ->
-      if
-        h.Obs.Checkpoint.n_chunks
-        <> (if scenarios <= 0 then 0
-            else (scenarios + chunk_size - 1) / chunk_size)
-      then
-        invalid_arg
-          (Printf.sprintf
-             "Endure.run: checkpoint has %d chunks but n=%d chunk=%d implies \
-              %d"
-             h.Obs.Checkpoint.n_chunks scenarios chunk_size
-             ((scenarios + chunk_size - 1) / chunk_size))
-    | None -> ());
-    let published = ref 0 in
-    let minor_total = ref 0.0 in
-    let write_ck () =
-      Obs.Checkpoint.write ~path:ck.Inject.Campaign.ck_path
-        {
-          Obs.Checkpoint.kind = "endurance";
-          fingerprint = fp;
-          chunk = chunk_size;
-          n_chunks;
-          done_chunks;
-        }
-        ~payload:(payload_of_totals merged)
-    in
-    let publish c t =
-      merge_into merged t;
-      done_chunks.(c) <- true;
-      incr published;
-      if
-        ck.Inject.Campaign.ck_every > 0
-        && !published mod ck.Inject.Campaign.ck_every = 0
-      then write_ck ()
-    in
-    let should_stop () =
-      match ck.Inject.Campaign.ck_stop_after with
-      | Some m -> !published >= m
-      | None -> false
-    in
-    Inject.Pool.map_chunks ~jobs ~oversubscribe ~should_stop ~n_chunks
-      ~skip:(fun c -> done_chunks.(c))
-      ~init:(fun _ -> (ref None, Gc.minor_words (), ref 0.0))
-      ~body:(fun (worker, _, _) c ->
-        let totals = make_totals ?triage_seed_cap ~cycles:cfg.cycles () in
-        let lo = c * chunk_size in
-        let hi = min scenarios (lo + chunk_size) in
-        for i = lo to hi - 1 do
-          scenario_into totals worker i
-        done;
-        totals)
-      ~publish
-      ~finish:(fun (_, minor_start, minor_words) ->
-        minor_words := Gc.minor_words () -. minor_start;
-        minor_total := !minor_total +. !minor_words)
-      ();
-    write_ck ();
-    {
-      config_label = label;
-      cfg;
-      totals = merged;
-      jobs = Inject.Pool.used_jobs ~jobs ~oversubscribe ~n:n_chunks ();
-      wall_seconds = Unix.gettimeofday () -. t0;
-      minor_words = !minor_total;
-    }
+  let r =
+    Inject.Pool.run_chunks ~who:"Endure.run" ?jobs ?chunk ?oversubscribe
+      ?checkpoint ~kind:"endurance"
+      ~fingerprint:(fingerprint ~base_seed ~scenarios cfg)
+      ~fresh:(make_totals ?triage_seed_cap ~cycles:cfg.cycles)
+      ~merge_into
+      ~encode:(fun () t -> payload_of_totals t)
+      ~decode:(fun p ->
+        totals_of_payload ?triage_seed_cap ~cycles:cfg.cycles p
+        |> Result.map (fun t -> ((), t)))
+      ~pin:()
+      ~work:(fun () -> (scenarios, scenario_into))
+      ~init:(fun _ -> ref None)
+      ()
+  in
+  {
+    config_label = label;
+    cfg;
+    totals = r.Inject.Pool.totals;
+    jobs = r.Inject.Pool.jobs;
+    wall_seconds = r.Inject.Pool.wall_seconds;
+    minor_words = r.Inject.Pool.minor_words;
+  }
 
 let pp fmt r =
   let t = r.totals in

@@ -135,32 +135,27 @@ let pp_snapshot fmt s =
 type result = {
   config_label : string;
   totals : totals;
+  fanout : int; (* the fan-out the campaign ran at: the file's on resume *)
   jobs : int; (* worker domains the campaign actually used *)
   wall_seconds : float; (* host wall-clock time for the whole campaign *)
   minor_words : float;
-      (* host minor-heap words allocated across all workers, summed from
-         each worker domain's own [Gc.minor_words]. Host-side accounting
-         only: deliberately NOT part of [totals], which stay bit-identical
-         across hosts and [jobs] values. *)
+      (* host minor-heap words allocated across all workers; see
+         {!Pool.run} *)
 }
 
 let runs_per_sec r =
   if r.wall_seconds > 0.0 then float_of_int r.totals.runs /. r.wall_seconds
   else 0.0
 
-(* Per-worker accumulator: the totals plus the worker's long-lived
-   machine (booted lazily in the worker's own domain and reset in place
-   between runs) and that domain's allocation accounting. [acc_totals]
-   is mutable because the checkpointed path swaps in a fresh totals per
-   chunk (the old one is published to the coordinator). *)
+(* Per-worker state: the worker's long-lived machine (booted lazily in
+   the worker's own domain and reset in place between runs) and, with
+   postmortems on, the signatures this worker already bundled. *)
 type acc = {
-  mutable acc_totals : totals;
   mutable acc_worker : Run.worker option;
-  acc_minor_start : float;
-  mutable acc_minor_words : float; (* set by the in-domain finish hook *)
   mutable acc_pm_ledger : Hyper.Ledger.t option;
       (* golden post-boot resource ledger, the baseline for a bundle's
          ledger diff; captured once per worker when postmortems are on *)
+  acc_bundled : (string, unit) Hashtbl.t; (* signature keys *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -224,23 +219,6 @@ let prepare_pool ?(alloc_profile = false) ?(postmortems = false) ~jobs
 (* Checkpoint / resume                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Checkpointing a campaign: the work range is cut into fixed chunks
-   (see {!Pool.map_chunks}); each completed chunk's totals are merged
-   into a coordinator-side aggregate, and every [ck_every] publishes the
-   aggregate plus the completed-chunk bitmap are written atomically to
-   [ck_path] as an nlh-checkpoint/1 file. Because chunk boundaries are
-   fixed by (n, fanout, chunk) -- never by [jobs] -- and the totals
-   merge is commutative, a resumed campaign reproduces the exact
-   aggregate of an uninterrupted one, whatever [--jobs] it resumes
-   with. [ck_stop_after] stops claiming new chunks after that many have
-   been published: the test harness's simulated kill. *)
-type checkpoint = {
-  ck_path : string;
-  ck_every : int; (* write the file every this many published chunks *)
-  ck_resume : bool; (* load [ck_path] and skip completed chunks *)
-  ck_stop_after : int option;
-}
-
 (* Config/seed identity for resume validation. Excludes [fanout] and
    [chunk] on purpose: those are pinned *by* the checkpoint file, so a
    resume with different flags silently inherits the original values
@@ -253,7 +231,7 @@ let fingerprint ~base_seed ~n (cfg : Run.config) =
     base_seed n
 
 (* The checkpoint payload is the merged aggregate minus triage (the
-   checkpointed path refuses [postmortems]; exemplar bundles are far too
+   checkpointed runs refuse [postmortems]; exemplar bundles are far too
    heavy to rewrite on every chunk). All fields are ints, notes are
    key-sorted and metrics name-sorted, so the value is canonical: equal
    aggregates produce byte-identical payloads. *)
@@ -307,16 +285,17 @@ let totals_of_payload ?triage_seed_cap (payload : Obs.Json.t) =
     Ok (fanout, t)
   with Invalid msg -> Error ("payload: " ^ msg)
 
-(* Run [n] injections of [cfg], varying only the seed. [jobs > 1]
-   distributes the seed range over that many domains through
-   {!Pool.map_reduce}; the default stays sequential so existing callers
-   and tests behave exactly as before. Each worker reuses one machine
-   across its runs ({!Run.prepare} / {!Run.execute_into}), which keeps
-   per-run allocation -- and hence pressure on the shared stop-the-world
-   minor GC -- low enough for parallel runs to actually scale. Worker
-   domains are additionally capped at the host's core count unless
-   [oversubscribe] is set (see {!Pool.map_reduce}). The result totals
-   are identical for every [jobs] value either way.
+(* Run [n] injections of [cfg], varying only the seed, through the
+   chunk engine {!Pool.run_chunks}: [jobs > 1] distributes the seed
+   range over that many domains (capped at the host's core count unless
+   [oversubscribe] is set); the default stays sequential. Each worker
+   reuses one machine across its runs ({!Run.prepare} /
+   {!Run.execute_into}), which keeps per-run allocation -- and hence
+   pressure on the shared stop-the-world minor GC -- low enough for
+   parallel runs to actually scale. The result totals are identical for
+   every [jobs] and [chunk] value. [checkpoint] persists the aggregate
+   as an nlh-checkpoint/1 file of kind "campaign" and resumes from it;
+   the file pins [chunk] and [fanout].
 
    [alloc_profile] turns on the per-phase allocation profiler on every
    worker recorder: the merged [totals.metrics] then carry the [alloc.*]
@@ -337,7 +316,7 @@ let totals_of_payload ?triage_seed_cap (payload : Obs.Json.t) =
    aggregate stays bit-identical for every [jobs] value. *)
 let run ?(label = "") ?(base_seed = 10_000L) ?(jobs = 1) ?chunk
     ?(oversubscribe = false) ?(alloc_profile = false) ?(fanout = 1)
-    ?(postmortems = false) ?pool ?(checkpoint : checkpoint option)
+    ?(postmortems = false) ?pool ?(checkpoint : Pool.checkpoint option)
     ?triage_seed_cap ~n (cfg : Run.config) =
   if fanout < 1 then invalid_arg "Campaign.run: fanout must be >= 1";
   (match pool with
@@ -348,47 +327,11 @@ let run ?(label = "") ?(base_seed = 10_000L) ?(jobs = 1) ?chunk
       "Campaign.run: pool was prepared with different \
        alloc_profile/postmortems settings"
   | _ -> ());
-  (match checkpoint with
-  | Some _ when postmortems ->
+  if checkpoint <> None && postmortems then
     (* Exemplar bundles are far too heavy to rewrite every few chunks;
        soaks wanting triage can run the final aggregation un-checkpointed. *)
-    invalid_arg "Campaign.run: checkpointing does not support postmortems"
-  | _ -> ());
+    invalid_arg "Campaign.run: checkpointing does not support postmortems";
   let jobs = match pool with Some p -> min jobs (pool_size p) | None -> jobs in
-  let fp = fingerprint ~base_seed ~n cfg in
-  (* Resolve resume state first: the checkpoint file pins [chunk] and
-     [fanout], and [fanout] shapes the work items below. *)
-  let resumed =
-    match checkpoint with
-    | Some ck when ck.ck_resume -> (
-      match Obs.Checkpoint.read ck.ck_path with
-      | Error msg ->
-        invalid_arg
-          (Printf.sprintf "Campaign.run: cannot resume from %s: %s" ck.ck_path
-             msg)
-      | Ok (h, payload) ->
-        if h.Obs.Checkpoint.kind <> "campaign" then
-          invalid_arg
-            (Printf.sprintf "Campaign.run: checkpoint kind %S is not a campaign"
-               h.Obs.Checkpoint.kind);
-        if h.Obs.Checkpoint.fingerprint <> fp then
-          invalid_arg
-            (Printf.sprintf
-               "Campaign.run: checkpoint fingerprint mismatch\n  file: %s\n  \
-                run:  %s"
-               h.Obs.Checkpoint.fingerprint fp);
-        (match totals_of_payload ?triage_seed_cap payload with
-        | Error msg ->
-          invalid_arg
-            (Printf.sprintf "Campaign.run: cannot resume from %s: %s"
-               ck.ck_path msg)
-        | Ok (ck_fanout, merged) -> Some (h, ck_fanout, merged)))
-    | _ -> None
-  in
-  let fanout =
-    match resumed with Some (_, ck_fanout, _) -> ck_fanout | None -> fanout
-  in
-  let t0 = Unix.gettimeofday () in
   let init slot =
     let worker, ledger =
       match pool with
@@ -396,13 +339,7 @@ let run ?(label = "") ?(base_seed = 10_000L) ?(jobs = 1) ?chunk
         (Some p.p_workers.(slot), p.p_ledgers.(slot))
       | _ -> (None, None)
     in
-    {
-      acc_totals = make_totals ?triage_seed_cap ();
-      acc_worker = worker;
-      acc_minor_start = Gc.minor_words ();
-      acc_minor_words = 0.0;
-      acc_pm_ledger = ledger;
-    }
+    { acc_worker = worker; acc_pm_ledger = ledger; acc_bundled = Hashtbl.create 8 }
   in
   let worker_of acc (cfg : Run.config) =
     match acc.acc_worker with
@@ -417,51 +354,54 @@ let run ?(label = "") ?(base_seed = 10_000L) ?(jobs = 1) ?chunk
       acc.acc_worker <- Some w;
       w
   in
-  let merge_run_metrics acc w =
-    acc.acc_totals.metrics <-
-      Obs.Metrics.merge_snapshots acc.acc_totals.metrics
+  let add_run t w out =
+    add_outcome t out;
+    t.metrics <-
+      Obs.Metrics.merge_snapshots t.metrics
         (Obs.Recorder.metrics_snapshot (Run.worker_recorder w))
   in
   let seed_of i = Int64.add base_seed (Int64.of_int i) in
   (* Triage a bad outcome (lazy: good outcomes return [None] from
      [Postmortem.signature_of] and pay nothing). The bundle is only
      assembled the first time this worker sees the signature; workers
-     process ascending seeds, so the captured seed is the worker-local
-     minimum and the commutative triage merge keeps the global-minimum
-     exemplar -- the same one a sequential campaign captures. *)
-  let record_postmortem acc (w : Run.worker) (cfg : Run.config) out ~seed
-      ~repro =
+     claim chunks in ascending order and run ascending seeds, so the
+     captured seed is the worker-local minimum and the commutative
+     triage merge keeps the global-minimum exemplar -- the same one a
+     sequential campaign captures. *)
+  let record_postmortem acc t (w : Run.worker) (cfg : Run.config) out ~fanout
+      ~seed ~repro =
     match
       Postmortem.signature_of cfg ~first_target:w.Run.w_last_target out
     with
     | None -> ()
     | Some sg ->
-      let tr = acc.acc_totals.triage in
+      let key = Obs.Signature.key sg in
       let bundle =
-        if Obs.Postmortem.Triage.mem tr sg then None
-        else
+        if Hashtbl.mem acc.acc_bundled key then None
+        else begin
+          Hashtbl.add acc.acc_bundled key ();
           Some
             (Postmortem.capture ~signature:sg ~hv:w.Run.w_hv
                ~golden_ledger:acc.acc_pm_ledger ~repro
                ~config:(Postmortem.config_fields cfg ~fanout) ~seed out)
+        end
       in
-      Obs.Postmortem.Triage.record ?bundle tr sg ~seed
+      Obs.Postmortem.Triage.record ?bundle t.triage sg ~seed
   in
-  let run_one acc i =
+  let run_one acc t i =
     let cfg = { cfg with Run.seed = seed_of i } in
     let w = worker_of acc cfg in
     let out = Run.execute_into w cfg in
-    add_outcome acc.acc_totals out;
-    merge_run_metrics acc w;
+    add_run t w out;
     if postmortems then
-      record_postmortem acc w cfg out ~seed:(seed_of i)
+      record_postmortem acc t w cfg out ~fanout:1 ~seed:(seed_of i)
         ~repro:(Postmortem.repro_line cfg ~seed:(seed_of i) ~runs:1 ~fanout:1)
   in
   (* One fan-out batch: runs [g * fanout .. min n ((g+1) * fanout) - 1],
-     prepared once and cloned per run. A batch is a single [body] call,
+     prepared once and cloned per run. A batch is a single work item,
      so the pool can never split it across workers -- the per-batch
      results depend only on (config, base_seed, g, fanout). *)
-  let run_batch acc g =
+  let run_batch fanout acc t g =
     let first = g * fanout in
     let last = min n (first + fanout) - 1 in
     let group_cfg = { cfg with Run.seed = seed_of first } in
@@ -469,130 +409,39 @@ let run ?(label = "") ?(base_seed = 10_000L) ?(jobs = 1) ?chunk
     let src = Run.prepare_clone w group_cfg in
     for i = first to last do
       let out = Run.clone_into ~reseed:(seed_of i) src in
-      add_outcome acc.acc_totals out;
-      merge_run_metrics acc w;
+      add_run t w out;
       if postmortems then
         (* The repro is the batch prefix up to this variant: a fan-out
            variant's warmup comes from the batch's first seed, so the
            seed alone does not reproduce it. *)
-        record_postmortem acc w group_cfg out ~seed:(seed_of i)
+        record_postmortem acc t w group_cfg out ~fanout ~seed:(seed_of i)
           ~repro:
             (Postmortem.repro_line group_cfg ~seed:(seed_of first)
                ~runs:(i - first + 1) ~fanout)
     done
   in
-  let pool_n, body =
-    if fanout > 1 then (((n + fanout - 1) / fanout), run_batch)
-    else (n, run_one)
+  let r =
+    Pool.run_chunks ~who:"Campaign.run" ~jobs ?chunk ~oversubscribe
+      ?checkpoint ~kind:"campaign"
+      ~fingerprint:(fingerprint ~base_seed ~n cfg)
+      ~fresh:(make_totals ?triage_seed_cap)
+      ~merge_into
+      ~encode:(fun fanout t -> payload_of_totals ~fanout t)
+      ~decode:(totals_of_payload ?triage_seed_cap)
+      ~pin:fanout
+      ~work:(fun fanout ->
+        if fanout > 1 then ((n + fanout - 1) / fanout, run_batch fanout)
+        else (n, run_one))
+      ~init ()
   in
-  match checkpoint with
-  | None ->
-    let acc =
-      Pool.map_reduce ~jobs ?chunk ~oversubscribe ~n:pool_n ~init ~body
-        ~finish:(fun acc ->
-          (* [Gc.minor_words] is per-domain in OCaml 5, so the delta must
-             be taken here, in the worker's own domain. *)
-          acc.acc_minor_words <- Gc.minor_words () -. acc.acc_minor_start)
-        ~merge:(fun a b ->
-          merge_into a.acc_totals b.acc_totals;
-          a.acc_minor_words <- a.acc_minor_words +. b.acc_minor_words;
-          a)
-        ()
-    in
-    {
-      config_label = label;
-      totals = acc.acc_totals;
-      jobs = Pool.used_jobs ~jobs ~oversubscribe ~n:pool_n ();
-      wall_seconds = Unix.gettimeofday () -. t0;
-      minor_words = acc.acc_minor_words;
-    }
-  | Some ck ->
-    (* Streaming, checkpointed path: workers run one fixed chunk at a
-       time, publish the chunk's totals to the coordinator, and start
-       the next chunk with a fresh bounded accumulator -- memory never
-       scales with [n]. The coordinator owns the only growing state:
-       one merged totals plus the done bitmap. *)
-    let chunk_size, merged, done_chunks =
-      match resumed with
-      | Some (h, _, merged) ->
-        (h.Obs.Checkpoint.chunk, merged, h.Obs.Checkpoint.done_chunks)
-      | None ->
-        let c =
-          match chunk with
-          | Some c -> max 1 c
-          | None -> Pool.default_chunk ~n:pool_n ~jobs:(max 1 jobs)
-        in
-        let n_chunks = if pool_n <= 0 then 0 else (pool_n + c - 1) / c in
-        (c, make_totals ?triage_seed_cap (), Array.make n_chunks false)
-    in
-    let n_chunks = Array.length done_chunks in
-    (match resumed with
-    | Some (h, _, _) ->
-      (* The file's geometry must reproduce from (n, fanout, chunk):
-         a checkpoint written for a different range would mis-map chunk
-         indices to seed ranges. *)
-      if
-        h.Obs.Checkpoint.n_chunks
-        <> (if pool_n <= 0 then 0 else (pool_n + chunk_size - 1) / chunk_size)
-      then
-        invalid_arg
-          (Printf.sprintf
-             "Campaign.run: checkpoint has %d chunks but n=%d fanout=%d \
-              chunk=%d implies %d"
-             h.Obs.Checkpoint.n_chunks n fanout chunk_size
-             ((pool_n + chunk_size - 1) / chunk_size))
-    | None -> ());
-    let published = ref 0 in
-    let minor_total = ref 0.0 in
-    let write_ck () =
-      Obs.Checkpoint.write ~path:ck.ck_path
-        {
-          Obs.Checkpoint.kind = "campaign";
-          fingerprint = fp;
-          chunk = chunk_size;
-          n_chunks;
-          done_chunks;
-        }
-        ~payload:(payload_of_totals ~fanout merged)
-    in
-    (* Runs under [map_chunks]' mutex, like [finish] below. *)
-    let publish c t =
-      merge_into merged t;
-      done_chunks.(c) <- true;
-      incr published;
-      if ck.ck_every > 0 && !published mod ck.ck_every = 0 then write_ck ()
-    in
-    let should_stop () =
-      match ck.ck_stop_after with
-      | Some m -> !published >= m
-      | None -> false
-    in
-    Pool.map_chunks ~jobs ~oversubscribe ~should_stop ~n_chunks
-      ~skip:(fun c -> done_chunks.(c))
-      ~init
-      ~body:(fun acc c ->
-        acc.acc_totals <- make_totals ?triage_seed_cap ();
-        let lo = c * chunk_size in
-        let hi = min pool_n (lo + chunk_size) in
-        for i = lo to hi - 1 do
-          body acc i
-        done;
-        acc.acc_totals)
-      ~publish
-      ~finish:(fun acc ->
-        acc.acc_minor_words <- Gc.minor_words () -. acc.acc_minor_start;
-        minor_total := !minor_total +. acc.acc_minor_words)
-      ();
-    (* Always leave a final consistent file, even when [ck_every] did
-       not divide the published count (or nothing ran at all). *)
-    write_ck ();
-    {
-      config_label = label;
-      totals = merged;
-      jobs = Pool.used_jobs ~jobs ~oversubscribe ~n:n_chunks ();
-      wall_seconds = Unix.gettimeofday () -. t0;
-      minor_words = !minor_total;
-    }
+  {
+    config_label = label;
+    totals = r.Pool.totals;
+    fanout = r.Pool.pin;
+    jobs = r.Pool.jobs;
+    wall_seconds = r.Pool.wall_seconds;
+    minor_words = r.Pool.minor_words;
+  }
 
 let success_rate r =
   Sim.Stats.proportion ~successes:r.totals.successes ~trials:(max 1 r.totals.detected)

@@ -10,8 +10,9 @@
     place.
 
     The envelope is deliberately generic -- [lib/obs] knows nothing about
-    injection campaigns. {!Inject.Campaign} and {!Endure} build their own
-    aggregates into [payload] and read them back on resume;
+    injection campaigns. One chunk engine, {!Inject.Pool.run_chunks},
+    writes and resumes these files for both kinds; {!Inject.Campaign}
+    and {!Endure} only supply the codec of their aggregate [payload].
     {!metrics_of_json} at the bottom reads back the one aggregate
     component they share, a {!Metrics.snapshot} written with
     {!Export.snapshot_fields}. *)

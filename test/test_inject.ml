@@ -289,6 +289,7 @@ let test_mean_latency_not_floored () =
     {
       Inject.Campaign.config_label = "";
       totals = t;
+      fanout = 1;
       jobs = 1;
       wall_seconds = 0.0;
       minor_words = 0.0;

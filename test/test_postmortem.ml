@@ -210,18 +210,32 @@ let mixed_cfg =
 let triage_of (r : Inject.Campaign.result) =
   r.Inject.Campaign.totals.Inject.Campaign.triage
 
+(* Workers keep the set of signatures they already bundled across
+   chunks, so one chunk per run, the default chunking, several workers
+   and campaigns on a reused machine pool all land on the same exemplar
+   bundles, byte for byte. *)
 let test_campaign_triage_jobs_invariant () =
-  let run jobs =
-    Inject.Campaign.run ~base_seed:300L ~jobs ~oversubscribe:(jobs > 1)
-      ~postmortems:true ~n:60 mixed_cfg
+  let run ?chunk ?pool jobs =
+    Inject.Campaign.run ~base_seed:300L ?chunk ?pool ~jobs
+      ~oversubscribe:(jobs > 1) ~postmortems:true ~n:60 mixed_cfg
   in
+  let json r = Obs.Json.to_string (Obs.Postmortem.Triage.to_json (triage_of r)) in
   let seq = run 1 and par = run 4 in
   checkb "campaign snapshots identical (triage included)" true
     (Inject.Campaign.snapshot seq.Inject.Campaign.totals
     = Inject.Campaign.snapshot par.Inject.Campaign.totals);
-  checkb "triage JSON byte-identical jobs=1 vs jobs=4" true
-    (Obs.Postmortem.Triage.to_json (triage_of seq)
-    = Obs.Postmortem.Triage.to_json (triage_of par))
+  checkb "exemplar bundles present" true
+    (List.exists
+       (fun (_, e) -> e.Obs.Postmortem.Triage.e_exemplar <> None)
+       (Obs.Postmortem.Triage.snapshot (triage_of seq)));
+  checks "triage JSON byte-identical jobs=1 vs jobs=4" (json seq) (json par);
+  checks "jobs=2" (json seq) (json (run 2));
+  checks "chunk=1" (json seq) (json (run ~chunk:1 1));
+  (* The set belongs to one campaign's worker, not to the machine: a
+     second campaign on the same pre-booted pool bundles afresh. *)
+  let pool = Inject.Campaign.prepare_pool ~postmortems:true ~jobs:1 mixed_cfg in
+  checks "pooled" (json seq) (json (run ~pool 1));
+  checks "second campaign on the pool" (json seq) (json (run ~pool 1))
 
 let test_campaign_triage_fanout_invariant () =
   let run jobs =

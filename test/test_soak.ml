@@ -40,7 +40,7 @@ let read_file path =
 
 let ck ?(every = 2) ?(resume = false) ?stop_after path =
   {
-    Inject.Campaign.ck_path = path;
+    Inject.Pool.ck_path = path;
     ck_every = every;
     ck_resume = resume;
     ck_stop_after = stop_after;
@@ -162,6 +162,8 @@ let test_campaign_kill_resume_identical () =
           in
           checki "full run count" 96
             uninterrupted.Inject.Campaign.totals.Inject.Campaign.runs;
+          checki "the resume reports the file's fanout" 2
+            resumed.Inject.Campaign.fanout;
           Alcotest.check snapshot_t "resumed = uninterrupted"
             (Inject.Campaign.snapshot
                uninterrupted.Inject.Campaign.totals)
@@ -186,42 +188,106 @@ let test_campaign_resume_complete_noop () =
         (Inject.Campaign.snapshot full.Inject.Campaign.totals)
         (Inject.Campaign.snapshot again.Inject.Campaign.totals))
 
+let endure_cfg ?(cycles = 2) ?(settle = 120) ?(budget = Some 8) () =
+  {
+    Endure.run_cfg = run_cfg ();
+    cycles;
+    settle_activities = settle;
+    leak_budget_pages = budget;
+  }
+
+(* Index of the first [sub] in [s]. *)
+let find s sub =
+  let n = String.length s and m = String.length sub in
+  let rec at i =
+    if i + m > n then None
+    else if String.sub s i m = sub then Some i
+    else at (i + 1)
+  in
+  at 0
+
+(* One refusal table run against both drivers: each row resumes from a
+   file the run must refuse, and names the check that refuses it by a
+   fragment of its message. *)
 let test_campaign_resume_rejects_mismatch () =
-  let cfg = run_cfg ~fault:Inject.Fault.Failstop () in
-  with_temp_ck (fun path ->
-      ignore
-        (Inject.Campaign.run ~base_seed:9_000L ~chunk:8
-           ~checkpoint:(ck ~stop_after:1 path) ~n:32 cfg);
-      let rejects what f =
-        match f () with
-        | exception Invalid_argument _ -> ()
-        | _ -> Alcotest.fail ("resume accepted " ^ what)
-      in
-      (* Different fault -> different fingerprint. *)
-      rejects "a different fault config" (fun () ->
-          Inject.Campaign.run ~base_seed:9_000L
-            ~checkpoint:(ck ~resume:true path) ~n:32
-            (run_cfg ~fault:Inject.Fault.Code ()));
-      (* Different base seed. *)
-      rejects "a different base seed" (fun () ->
-          Inject.Campaign.run ~base_seed:9_001L
-            ~checkpoint:(ck ~resume:true path) ~n:32 cfg);
-      (* Different n. *)
-      rejects "a different run count" (fun () ->
-          Inject.Campaign.run ~base_seed:9_000L
-            ~checkpoint:(ck ~resume:true path) ~n:64 cfg);
-      (* A campaign checkpoint is not an endurance checkpoint. *)
-      rejects "a campaign checkpoint (endurance)" (fun () ->
-          Endure.run ~base_seed:9_000L
-            ~checkpoint:(ck ~resume:true path) ~scenarios:4
-            { Endure.default_config with Endure.run_cfg = cfg; cycles = 2 });
-      (* Corrupt file. *)
-      let oc = open_out_bin path in
-      output_string oc "{\"schema\":";
-      close_out oc;
-      rejects "a truncated checkpoint" (fun () ->
-          Inject.Campaign.run ~base_seed:9_000L
-            ~checkpoint:(ck ~resume:true path) ~n:32 cfg))
+  let campaign ?(base_seed = 9_000L) ?(n = 32) ?(fault = Inject.Fault.Failstop)
+      ck =
+    ignore
+      (Inject.Campaign.run ~base_seed ~chunk:8 ~checkpoint:ck ~n
+         (run_cfg ~fault ()))
+  in
+  let endure ?(cfg = endure_cfg ()) ck =
+    ignore
+      (Endure.run ~base_seed:9_000L ~chunk:2 ~checkpoint:ck ~scenarios:4 cfg)
+  in
+  with_temp_ck (fun c_path ->
+      with_temp_ck (fun e_path ->
+          with_temp_ck (fun bad_path ->
+              campaign (ck ~stop_after:1 c_path);
+              endure (ck ~stop_after:1 e_path);
+              let bad content =
+                let oc = open_out_bin bad_path in
+                output_string oc content;
+                close_out oc;
+                bad_path
+              in
+              let edited path ~sub ~by =
+                let s = read_file path in
+                match find s sub with
+                | None -> Alcotest.fail ("no " ^ sub ^ " in " ^ path)
+                | Some i ->
+                  let j = i + String.length sub in
+                  bad
+                    (String.sub s 0 i ^ by
+                    ^ String.sub s j (String.length s - j))
+              in
+              let truncated path =
+                let s = read_file path in
+                bad (String.sub s 0 (String.length s / 2))
+              in
+              let rejects what ~because run path =
+                match run (ck ~resume:true path) with
+                | exception Invalid_argument msg ->
+                  checkb
+                    (Printf.sprintf "%s: %S names %S" what msg because)
+                    true
+                    (find msg because <> None)
+                | () -> Alcotest.fail ("resume accepted " ^ what)
+              in
+              rejects "a different fault config" ~because:"fingerprint"
+                (campaign ~fault:Inject.Fault.Code)
+                c_path;
+              rejects "a different base seed" ~because:"fingerprint"
+                (campaign ~base_seed:9_001L) c_path;
+              rejects "a different run count" ~because:"fingerprint"
+                (campaign ~n:64) c_path;
+              rejects "an endurance file (campaign)" ~because:"kind" campaign
+                e_path;
+              rejects "a campaign file (endurance)" ~because:"kind" endure
+                c_path;
+              rejects "other cycles" ~because:"fingerprint"
+                (endure ~cfg:(endure_cfg ~cycles:3 ()))
+                e_path;
+              rejects "other settle_activities" ~because:"fingerprint"
+                (endure ~cfg:(endure_cfg ~settle:60 ()))
+                e_path;
+              rejects "another leak budget" ~because:"fingerprint"
+                (endure ~cfg:(endure_cfg ~budget:(Some 4) ()))
+                e_path;
+              rejects "no leak budget" ~because:"fingerprint"
+                (endure ~cfg:(endure_cfg ~budget:None ()))
+                e_path;
+              rejects "an edited n_chunks (campaign)" ~because:"imply"
+                campaign
+                (edited c_path ~sub:{|"n_chunks": 4|} ~by:{|"n_chunks": 5|});
+              rejects "an edited n_chunks (endurance)" ~because:"imply" endure
+                (edited e_path ~sub:{|"n_chunks": 2|} ~by:{|"n_chunks": 3|});
+              rejects "a truncated campaign file" ~because:"cannot resume"
+                campaign (truncated c_path);
+              rejects "a truncated endurance file" ~because:"cannot resume"
+                endure (truncated e_path);
+              rejects "a cut-off header" ~because:"cannot resume" campaign
+                (bad "{\"schema\":"))))
 
 let test_checkpoint_postmortems_rejected () =
   with_temp_ck (fun path ->
@@ -266,6 +332,10 @@ let test_endure_kill_resume_identical () =
           Alcotest.check endure_snapshot_t "resumed = uninterrupted"
             (Endure.snapshot uninterrupted.Endure.totals)
             (Endure.snapshot resumed.Endure.totals);
+          Alcotest.check endure_snapshot_t "checkpointed = un-checkpointed"
+            (Endure.snapshot
+               (Endure.run ~base_seed:5_500L ~scenarios:12 cfg).Endure.totals)
+            (Endure.snapshot uninterrupted.Endure.totals);
           checks "final checkpoint files byte-identical" (read_file path')
             (read_file path)))
 
